@@ -58,8 +58,8 @@ std::size_t load_corpus(const std::filesystem::path& file,
 // --- introspection artifacts --------------------------------------------------
 
 // Writes the signal-growth time series as JSONL, shard-major: all of the
-// first recorder's retained samples, then the second's, ... (torpedo run,
-// the selftest replay, and the determinism tests share this so the artifact
+// first recorder's retained samples, then the second's, ... (every run
+// mode writes it through run::Instruments::write_workdir, so the artifact
 // has exactly one byte layout). Null recorders are skipped.
 void save_timeseries(
     const std::filesystem::path& file,

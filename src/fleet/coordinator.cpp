@@ -35,7 +35,9 @@ constexpr Nanos kStatusWritePeriod = 250 * kMillisecond;
 // buffer drains immediately; the wait is a safety net, not a steady state.
 bool send_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t sent = ::write(fd, data, n);
+    // A worker that died mid-epoch must fail the send (the caller closes
+    // the connection), not raise SIGPIPE in the coordinator.
+    const ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL);
     if (sent > 0) {
       data += sent;
       n -= static_cast<std::size_t>(sent);

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace torpedo::fleet {
@@ -38,7 +39,9 @@ bool read_all(int fd, char* data, std::size_t n) {
 bool write_all(int fd, const char* data, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t sent = ::write(fd, data + done, n - done);
+    // MSG_NOSIGNAL: a peer that died mid-epoch must surface as a failed
+    // send, not a SIGPIPE that kills this process.
+    const ssize_t sent = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
     if (sent > 0) {
       done += static_cast<std::size_t>(sent);
       continue;

@@ -67,8 +67,8 @@ class FrameBuffer {
   bool error_ = false;
 };
 
-// write(2) until all of `data` is on the wire; EINTR-safe. Shared by the
-// frame senders above.
+// send(2) until all of `data` is on the wire; EINTR-safe, and a closed peer
+// is a false return rather than SIGPIPE. Shared by the frame senders above.
 bool write_all(int fd, const char* data, std::size_t n);
 
 }  // namespace torpedo::fleet

@@ -3,8 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <optional>
 #include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -13,13 +11,9 @@
 
 #include "core/provenance.h"
 #include "core/workdir.h"
-#include "feedback/mutation_efficacy.h"
-#include "feedback/syscall_profile.h"
 #include "feedback/wire.h"
 #include "fleet/frame.h"
-#include "kernel/syscalls.h"
-#include "telemetry/monitor.h"
-#include "telemetry/timeseries.h"
+#include "run/run.h"
 #include "triage/cluster.h"
 #include "util/log.h"
 
@@ -46,13 +40,6 @@ int connect_coordinator(const std::string& path) {
   }
   return -1;
 }
-
-struct ProfileGuard {
-  ~ProfileGuard() { feedback::set_syscall_profile(nullptr); }
-};
-struct EfficacyGuard {
-  ~EfficacyGuard() { feedback::set_mutation_efficacy(nullptr); }
-};
 
 }  // namespace
 
@@ -113,52 +100,24 @@ int worker_main(const WorkerOptions& options) {
     }
   }
 
-  // The same always-on introspection `torpedo run` wires up: per-syscall
-  // attribution, per-operator efficacy, the signal-growth recorder.
-  feedback::SyscallProfile profile;
-  ProfileGuard profile_guard;
-  feedback::set_syscall_profile(&profile);
-  feedback::MutationEfficacy efficacy;
-  EfficacyGuard efficacy_guard;
-  feedback::set_mutation_efficacy(&efficacy);
+  // The instruments `torpedo run` wires into one part: always-on probes,
+  // signal-growth recorder stamped with the worker id, live status, the
+  // heartbeat the coordinator watches, and a monitor only when asked for.
+  run::RunOptions run_options;
+  run_options.config = options.config;
+  run_options.seeds_dir = options.seeds_dir;
+  run_options.workdir = options.workdir;
+  run_options.monitor_port = options.monitor_port;
+  run::Instruments instruments(run_options, options.worker_id);
 
   core::Campaign campaign(options.config);
   // Entries born here carry the worker id as their shard; entries pulled
   // through the coordinator keep the birth_shard they arrived with.
   campaign.corpus().set_shard(options.worker_id);
-
-  telemetry::TimeSeriesRecorder::Config ts_config;
-  ts_config.shard = options.worker_id;
-  telemetry::TimeSeriesRecorder timeseries(ts_config);
-  campaign.set_timeseries(&timeseries);
-
-  telemetry::LiveStatus status;
-  campaign.set_live_status(&status);
-
-  telemetry::HeartbeatWriter heartbeat(options.workdir / "heartbeat.json");
-  campaign.set_heartbeat(&heartbeat);
-
-  triage::LiveTriage live_triage;
-  std::optional<telemetry::MonitorServer> monitor;
-  if (options.monitor_port >= 0) {
-    telemetry::MonitorServer::Config mon_config;
-    mon_config.port = options.monitor_port;
-    monitor.emplace(mon_config);
-    monitor->set_status(&status);
-    monitor->set_extra_metrics([&profile, &efficacy, &live_triage] {
-      return profile.to_prometheus(&kernel::sysno_name) +
-             efficacy.to_prometheus() + live_triage.to_prometheus();
-    });
-    if (monitor->start()) {
-      // The coordinator discovers this worker's /metrics through the
-      // heartbeat, so the actual bound port must be in every stamp.
-      heartbeat.set_monitor_port(monitor->port());
-    } else {
-      std::fprintf(stderr, "fleet worker %d: cannot bind monitor port %d\n",
-                   options.worker_id, options.monitor_port);
-      monitor.reset();
-    }
-  }
+  instruments.attach(0, campaign);
+  if (!instruments.start_monitor())
+    std::fprintf(stderr, "fleet worker %d: cannot bind monitor port %d\n",
+                 options.worker_id, options.monitor_port);
 
   if (!options.seeds_dir.empty()) {
     std::vector<std::string> errors;
@@ -213,6 +172,7 @@ int worker_main(const WorkerOptions& options) {
   }
 
   core::CampaignReport report = campaign.finalize();
+  instruments.detach(0, campaign);
   // This process is one shard of the fleet: stamp its id onto everything
   // the merge distinguishes workers by, exactly as ShardedCampaign::merge
   // stamps shard indices.
@@ -222,25 +182,8 @@ int worker_main(const WorkerOptions& options) {
 
   const triage::TriageResult tri = triage::cluster_report(
       report, runtime::runtime_name(options.config.runtime));
-  live_triage.install(tri);
-  if (monitor) monitor->stop();
-
-  const std::filesystem::path& dir = options.workdir;
-  core::save_corpus(dir / "corpus.txt", campaign.corpus());
-  core::save_report(dir / "report.txt", report);
-  triage::save_clusters(dir / "clusters.json", tri);
-  core::write_violation_bundles(dir, report);
-  {
-    std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-    if (out) out << profile.to_json(&kernel::sysno_name) << "\n";
-  }
-  const telemetry::TimeSeriesRecorder* recorder_ptrs[] = {&timeseries};
-  core::save_timeseries(dir / "timeseries.jsonl", recorder_ptrs);
-  core::save_mutation_efficacy(dir / "mutation_efficacy.json", efficacy);
-  core::CampaignManifest manifest =
-      core::CampaignManifest::from_config(options.config);
-  manifest.seeds_dir = options.seeds_dir;
-  core::save_campaign_manifest(dir / "campaign.json", manifest);
+  instruments.finish(tri);
+  instruments.write_workdir(campaign.corpus(), report, tri);
 
   feedback::WireWriter done;
   done.u32(static_cast<std::uint32_t>(report.batches));

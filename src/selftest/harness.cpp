@@ -8,10 +8,9 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/provenance.h"
 #include "core/workdir.h"
-#include "feedback/syscall_profile.h"
-#include "kernel/syscalls.h"
+#include "run/run.h"
+#include "runtime/runtime.h"
 #include "selftest/faultinject.h"
 #include "selftest/invariants.h"
 #include "selftest/replay.h"
@@ -268,7 +267,13 @@ void run_fault_trial(std::uint64_t seed, int index, const fs::path& dir,
                         .violations_json = "[]"});
   };
 
+  // The artifacts written under duress are the full `torpedo run` set.
+  run::RunOptions run_options;
+  run_options.config = config;
+  run_options.workdir = dir;
+  run::Instruments instruments(run_options);
   core::Campaign campaign(config);
+  instruments.attach(0, campaign);
   FaultInjector injector(plan);
   injector.install(campaign.kernel());
   core::CampaignReport report;
@@ -291,10 +296,10 @@ void run_fault_trial(std::uint64_t seed, int index, const fs::path& dir,
 
   // Artifact robustness: the artifacts written under duress must parse, and
   // torn (truncated) copies of them must be rejected cleanly, not crash.
-  fs::create_directories(dir);
-  core::save_report(dir / "report.txt", report);
-  core::save_corpus(dir / "corpus.txt", campaign.corpus());
-  core::write_violation_bundles(dir, report);
+  instruments.detach(0, campaign);
+  instruments.write_workdir(
+      campaign.corpus(), report,
+      triage::cluster_report(report, runtime::runtime_name(config.runtime)));
   ++pillar.artifact_checks;
 
   std::ifstream in(dir / "report.txt");
@@ -371,28 +376,16 @@ void run_replay_trial(std::uint64_t seed, int index, const fs::path& dir,
                         .violations_json = "[]"});
   };
 
-  // Record: run once and persist the same artifact stack `torpedo run
-  // --workdir` writes, manifest included.
-  fs::create_directories(dir);
-  feedback::SyscallProfile profile;
-  feedback::SyscallProfile* previous = feedback::syscall_profile();
-  feedback::set_syscall_profile(&profile);
-  try {
-    core::Campaign campaign(manifest.to_config());
-    campaign.load_default_seeds();
-    const core::CampaignReport report = campaign.run();
-    core::save_corpus(dir / "corpus.txt", campaign.corpus());
-    core::save_report(dir / "report.txt", report);
-    core::write_violation_bundles(dir, report);
-    std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-    out << profile.to_json(&kernel::sysno_name) << "\n";
-    core::save_campaign_manifest(dir / "campaign.json", manifest);
-  } catch (const std::exception& e) {
-    feedback::set_syscall_profile(previous);
-    fail(std::string("recording campaign raised: ") + e.what());
+  // Record: run once through the `torpedo run --workdir` path, manifest
+  // included.
+  run::RunOptions record;
+  record.config = manifest.to_config();
+  record.workdir = dir;
+  const run::RunResult recorded = run::run_campaign(record);
+  if (!recorded.error.empty()) {
+    fail("recording campaign failed: " + recorded.error);
     return;
   }
-  feedback::set_syscall_profile(previous);
 
   ReplayOptions options;
   options.workdir = dir;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -10,19 +9,13 @@
 #include "core/campaign.h"
 #include "core/minimize.h"
 #include "core/provenance.h"
-#include "core/sharded.h"
 #include "core/workdir.h"
 #include "exec/executor.h"
-#include "feedback/mutation_efficacy.h"
-#include "feedback/syscall_profile.h"
 #include "fleet/coordinator.h"
 #include "fleet/manifest.h"
-#include "telemetry/timeseries.h"
-#include "triage/cluster.h"
 #include "prog/program.h"
-#include "kernel/syscalls.h"
+#include "run/run.h"
 #include "util/strings.h"
-#include "runtime/runtime.h"
 
 namespace torpedo::selftest {
 
@@ -251,70 +244,14 @@ void regenerate(const core::CampaignManifest& manifest,
                  fleet_result.completed + fleet_result.failed));
     return;
   }
-  const core::CampaignConfig config = manifest.to_config();
-  core::CampaignReport report;
-  feedback::SyscallProfile profile;
-  feedback::SyscallProfile* previous = feedback::syscall_profile();
-  feedback::set_syscall_profile(&profile);
-  feedback::MutationEfficacy efficacy;
-  feedback::MutationEfficacy* previous_efficacy =
-      feedback::mutation_efficacy();
-  feedback::set_mutation_efficacy(&efficacy);
-  // One recorder per shard, pre-created so the shard-start hook (which runs
-  // on the shard's worker thread) only hands out stable pointers.
-  std::vector<std::unique_ptr<telemetry::TimeSeriesRecorder>> recorders;
-  try {
-    if (manifest.shards > 1) {
-      core::ShardedConfig sharded_config;
-      sharded_config.base = config;
-      sharded_config.shards = manifest.shards;
-      sharded_config.corpus_sync = manifest.corpus_sync;
-      core::ShardedCampaign sharded(sharded_config);
-      for (int s = 0; s < manifest.shards; ++s) {
-        telemetry::TimeSeriesRecorder::Config ts_config;
-        ts_config.shard = s;
-        recorders.push_back(
-            std::make_unique<telemetry::TimeSeriesRecorder>(ts_config));
-      }
-      sharded.set_shard_start_hook([&](int shard, core::Campaign& campaign) {
-        campaign.set_timeseries(
-            recorders[static_cast<std::size_t>(shard)].get());
-      });
-      if (!manifest.seeds_dir.empty())
-        sharded.set_seeds(core::load_seed_files(manifest.seeds_dir));
-      report = sharded.run();
-      core::save_corpus(scratch / "corpus.txt", sharded.merged_corpus());
-    } else {
-      core::Campaign campaign(config);
-      recorders.push_back(std::make_unique<telemetry::TimeSeriesRecorder>());
-      campaign.set_timeseries(recorders.back().get());
-      if (!manifest.seeds_dir.empty())
-        campaign.load_seeds(core::load_seed_files(manifest.seeds_dir));
-      else
-        campaign.load_default_seeds();
-      report = campaign.run();
-      core::save_corpus(scratch / "corpus.txt", campaign.corpus());
-    }
-    core::save_report(scratch / "report.txt", report);
-    triage::save_clusters(
-        scratch / "clusters.json",
-        triage::cluster_report(report,
-                               runtime::runtime_name(config.runtime)));
-    core::write_violation_bundles(scratch, report);
-    std::vector<const telemetry::TimeSeriesRecorder*> recorder_ptrs;
-    for (const auto& r : recorders) recorder_ptrs.push_back(r.get());
-    core::save_timeseries(scratch / "timeseries.jsonl", recorder_ptrs);
-    core::save_mutation_efficacy(scratch / "mutation_efficacy.json",
-                                 efficacy);
-    std::ofstream out(scratch / "syscall_profile.json", std::ios::trunc);
-    if (out) out << profile.to_json(&kernel::sysno_name) << "\n";
-  } catch (...) {
-    feedback::set_syscall_profile(previous);
-    feedback::set_mutation_efficacy(previous_efficacy);
-    throw;
-  }
-  feedback::set_syscall_profile(previous);
-  feedback::set_mutation_efficacy(previous_efficacy);
+  run::RunOptions options;
+  options.config = manifest.to_config();
+  options.shards = manifest.shards;
+  options.corpus_sync = manifest.corpus_sync;
+  options.seeds_dir = manifest.seeds_dir;
+  options.workdir = scratch;
+  const run::RunResult result = run::run_campaign(options);
+  if (!result.error.empty()) throw std::runtime_error(result.error);
 }
 
 // Runs `program` once on a fresh campaign stack and returns the per-call

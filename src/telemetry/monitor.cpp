@@ -205,7 +205,7 @@ bool Watchdog::poll(std::uint64_t executions) {
   ++stall_count_;
   ctr_stalls_->inc();
   last_stall_spans_.clear();
-  if (SpanTracer* tracer = spans()) last_stall_spans_ = tracer->open_span_names();
+  if (spans_) last_stall_spans_ = spans_->open_span_names();
   std::string stack;
   for (const std::string& name : last_stall_spans_) {
     if (!stack.empty()) stack += " > ";

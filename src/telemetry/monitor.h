@@ -48,6 +48,8 @@
 
 namespace torpedo::telemetry {
 
+class SpanTracer;
+
 // --- LiveStatus ---------------------------------------------------------------
 
 // Campaign state shared across the campaign and monitor threads. The
@@ -169,6 +171,12 @@ class Watchdog {
     now_ctx_ = ctx;
   }
 
+  // The tracer whose open span stack a stall logs: the one the watched
+  // campaign's thread records into (it may be installed for that thread
+  // only, so the monitor thread cannot find it through spans()). Set before
+  // polling starts; nullptr logs no stack.
+  void set_spans(const SpanTracer* tracer) { spans_ = tracer; }
+
   // Samples progress; the monitor thread calls this every loop tick with the
   // current total execution count. Returns true when this call *newly*
   // detected a stall (one trip per stall; recovery re-arms).
@@ -190,6 +198,7 @@ class Watchdog {
   Counter* ctr_stalls_ = nullptr;
   NowFn now_fn_ = nullptr;
   void* now_ctx_ = nullptr;
+  const SpanTracer* spans_ = nullptr;
   std::atomic<bool> abort_{false};
 
   mutable std::mutex mu_;

@@ -17,6 +17,12 @@ struct CpusetParseCase {
   int count;
 };
 
+// gtest would otherwise print the raw bytes (a string address and padding),
+// which makes the discovered test names change from run to run.
+void PrintTo(const CpusetParseCase& c, std::ostream* os) {
+  *os << '"' << c.spec << '"';
+}
+
 class CpuSetParseTest : public ::testing::TestWithParam<CpusetParseCase> {};
 
 TEST_P(CpuSetParseTest, Parses) {

@@ -1,32 +1,22 @@
 // Golden byte-determinism tests: two campaigns with identical configs must
 // regenerate every workdir artifact byte-for-byte — report.txt, corpus.txt,
 // violation bundles, clusters.json, syscall_profile.json, timeseries.jsonl,
-// mutation_efficacy.json — for both the sequential and the sharded engine,
-// plus the final heartbeat modulo its wall-clock stamp.
+// mutation_efficacy.json, campaign.json — for the sequential engine, the
+// sharded engine and the fleet, plus the final heartbeats modulo their
+// wall-clock stamp.
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/provenance.h"
-#include "core/sharded.h"
-#include "core/workdir.h"
 #include "fleet/coordinator.h"
 #include "fleet/manifest.h"
-#include "feedback/mutation_efficacy.h"
-#include "feedback/syscall_profile.h"
-#include "kernel/syscalls.h"
-#include "runtime/runtime.h"
+#include "run/run.h"
 #include "telemetry/json.h"
-#include "telemetry/monitor.h"
-#include "telemetry/timeseries.h"
-#include "triage/cluster.h"
 
 namespace torpedo {
 namespace {
@@ -62,59 +52,14 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-// One full campaign run writing the `torpedo run --workdir` artifact stack
-// (plus the final heartbeat for the sequential engine).
-void run_workdir(const fs::path& dir, int shards, bool heartbeat) {
-  const core::CampaignConfig config = golden_config();
-  feedback::SyscallProfile profile;
-  feedback::set_syscall_profile(&profile);
-  feedback::MutationEfficacy efficacy;
-  feedback::set_mutation_efficacy(&efficacy);
-  std::deque<telemetry::TimeSeriesRecorder> recorders;
-  core::CampaignReport report;
-  if (shards > 1) {
-    core::ShardedConfig sharded_config;
-    sharded_config.base = config;
-    sharded_config.shards = shards;
-    core::ShardedCampaign sharded(sharded_config);
-    for (int s = 0; s < shards; ++s) {
-      telemetry::TimeSeriesRecorder::Config ts_config;
-      ts_config.shard = s;
-      recorders.emplace_back(ts_config);
-    }
-    sharded.set_shard_start_hook([&](int shard, core::Campaign& campaign) {
-      campaign.set_timeseries(&recorders[static_cast<std::size_t>(shard)]);
-    });
-    report = sharded.run();
-    core::save_corpus(dir / "corpus.txt", sharded.merged_corpus());
-  } else {
-    core::Campaign campaign(config);
-    recorders.emplace_back();
-    campaign.set_timeseries(&recorders.back());
-    std::optional<telemetry::HeartbeatWriter> hb;
-    if (heartbeat) {
-      hb.emplace(dir / "heartbeat.json");
-      campaign.set_heartbeat(&*hb);
-    }
-    campaign.load_default_seeds();
-    report = campaign.run();
-    core::save_corpus(dir / "corpus.txt", campaign.corpus());
-  }
-  feedback::set_syscall_profile(nullptr);
-  feedback::set_mutation_efficacy(nullptr);
-  core::save_report(dir / "report.txt", report);
-  triage::save_clusters(
-      dir / "clusters.json",
-      triage::cluster_report(report,
-                             runtime::runtime_name(config.runtime)));
-  core::write_violation_bundles(dir, report);
-  std::vector<const telemetry::TimeSeriesRecorder*> recorder_ptrs;
-  for (const telemetry::TimeSeriesRecorder& r : recorders)
-    recorder_ptrs.push_back(&r);
-  core::save_timeseries(dir / "timeseries.jsonl", recorder_ptrs);
-  core::save_mutation_efficacy(dir / "mutation_efficacy.json", efficacy);
-  std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-  out << profile.to_json(&kernel::sysno_name) << "\n";
+// One full campaign through the `torpedo run --workdir` path: the same
+// instruments and the same workdir writer as the CLI.
+void run_workdir(const fs::path& dir, int shards) {
+  run::RunOptions options;
+  options.config = golden_config();
+  options.shards = shards;
+  options.workdir = dir;
+  EXPECT_EQ(run::run_campaign(options).error, "");
 }
 
 // Relative paths of every regular file under `dir`, sorted.
@@ -141,12 +86,19 @@ std::string heartbeat_minus_wall(const fs::path& file) {
   return out;
 }
 
+// Same file set, byte-identical contents — except the two wall-clock
+// bearers: every heartbeat*.json is compared minus its wall_ns stamp, and a
+// fleet's fleet_status.json (run timing snapshot) is skipped.
 void expect_identical_trees(const fs::path& a, const fs::path& b) {
   const std::vector<std::string> files_a = file_list(a);
   ASSERT_EQ(files_a, file_list(b));
   for (const std::string& rel : files_a) {
-    if (rel == "heartbeat.json") {
-      EXPECT_EQ(heartbeat_minus_wall(a / rel), heartbeat_minus_wall(b / rel));
+    const fs::path file(rel);
+    if (file.filename() == "fleet_status.json") continue;
+    if (file.filename().string().starts_with("heartbeat") &&
+        file.extension() == ".json") {
+      EXPECT_EQ(heartbeat_minus_wall(a / rel), heartbeat_minus_wall(b / rel))
+          << rel;
       continue;
     }
     EXPECT_EQ(slurp(a / rel), slurp(b / rel)) << rel;
@@ -156,8 +108,8 @@ void expect_identical_trees(const fs::path& a, const fs::path& b) {
 TEST(Determinism, SequentialCampaignIsByteIdentical) {
   const fs::path a = fresh_dir("torpedo-golden-seq-a");
   const fs::path b = fresh_dir("torpedo-golden-seq-b");
-  run_workdir(a, 1, true);
-  run_workdir(b, 1, true);
+  run_workdir(a, 1);
+  run_workdir(b, 1);
   EXPECT_FALSE(slurp(a / "report.txt").empty());
   expect_identical_trees(a, b);
 }
@@ -165,8 +117,8 @@ TEST(Determinism, SequentialCampaignIsByteIdentical) {
 TEST(Determinism, ShardedCampaignIsByteIdentical) {
   const fs::path a = fresh_dir("torpedo-golden-sh-a");
   const fs::path b = fresh_dir("torpedo-golden-sh-b");
-  run_workdir(a, 2, false);
-  run_workdir(b, 2, false);
+  run_workdir(a, 2);
+  run_workdir(b, 2);
   expect_identical_trees(a, b);
 }
 
@@ -193,21 +145,8 @@ TEST(Determinism, FleetCampaignIsByteIdentical) {
   run_fleet_workdir(a);
   run_fleet_workdir(b);
 
-  // Same file set, byte-identical contents — except the two wall-clock
-  // bearers: fleet_status.json (run timing snapshot) and the per-worker
-  // heartbeats, whose wall_ns stamp is intentionally non-deterministic.
-  const std::vector<std::string> files = file_list(a);
-  ASSERT_EQ(files, file_list(b));
   EXPECT_FALSE(slurp(a / "report.txt").empty());
-  for (const std::string& rel : files) {
-    if (rel == "fleet_status.json") continue;
-    if (rel.size() >= 14 &&
-        rel.compare(rel.size() - 14, 14, "heartbeat.json") == 0) {
-      EXPECT_EQ(heartbeat_minus_wall(a / rel), heartbeat_minus_wall(b / rel));
-      continue;
-    }
-    EXPECT_EQ(slurp(a / rel), slurp(b / rel)) << rel;
-  }
+  expect_identical_trees(a, b);
 }
 
 }  // namespace

@@ -28,6 +28,11 @@ struct KnownVuln {
   bool is_new;
 };
 
+// Print the seed rather than the raw bytes so test names are stable.
+void PrintTo(const KnownVuln& c, std::ostream* os) {
+  *os << '"' << c.seed << '"';
+}
+
 class KnownVulnTest : public ::testing::TestWithParam<KnownVuln> {};
 
 TEST_P(KnownVulnTest, DetectedFlaggedAndClassifiedOnRunc) {

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -280,7 +281,7 @@ TEST(WatchdogTest, CapturesOpenSpanStackAndRaisesAbort) {
   dog.set_clock(&FakeClock::read, &clock);
 
   SpanTracer tracer;
-  set_spans(&tracer);
+  dog.set_spans(&tracer);
   const std::uint64_t outer = tracer.begin("campaign.batch");
   const std::uint64_t inner = tracer.begin("fuzz.mutate");
 
@@ -295,7 +296,43 @@ TEST(WatchdogTest, CapturesOpenSpanStackAndRaisesAbort) {
 
   tracer.end(inner);
   tracer.end(outer);
-  set_spans(nullptr);
+}
+
+// A shard's tracer is installed for the shard's own thread only, while the
+// watchdog polls on the monitor thread: the stall must still name the
+// phase the shard is stuck in.
+TEST(WatchdogTest, NamesSpansOfATracerInstalledOnAnotherThread) {
+  Registry reg;
+  FakeClock clock;
+  Watchdog::Config cfg;
+  cfg.stall_budget_wall_ns = kSecond;
+  Watchdog dog(cfg, &reg);
+  dog.set_clock(&FakeClock::read, &clock);
+  SpanTracer tracer;
+  dog.set_spans(&tracer);
+
+  std::promise<void> opened;
+  std::promise<void> release;
+  std::thread shard([&tracer, &opened, done = release.get_future()] {
+    set_thread_spans(&tracer);
+    {
+      const ScopedSpan batch("campaign.batch");
+      const ScopedSpan round("round.measure");
+      opened.set_value();
+      done.wait();
+    }
+    set_thread_spans(nullptr);
+  });
+  opened.get_future().wait();
+  EXPECT_EQ(spans(), nullptr);  // invisible from this thread
+
+  EXPECT_FALSE(dog.poll(1));
+  clock.now = 2 * kSecond;
+  EXPECT_TRUE(dog.poll(1));
+  EXPECT_EQ(dog.last_stall_spans(),
+            (std::vector<std::string>{"campaign.batch", "round.measure"}));
+  release.set_value();
+  shard.join();
 }
 
 // --- MonitorServer ------------------------------------------------------------

@@ -56,6 +56,11 @@ struct NameCase {
   RuntimeKind kind;
 };
 
+// Print the name rather than the raw bytes so test names are stable.
+void PrintTo(const NameCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
+
 class RuntimeNameTest : public ::testing::TestWithParam<NameCase> {};
 
 TEST_P(RuntimeNameTest, RoundTrips) {
@@ -200,6 +205,12 @@ struct CompatCase {
   int nr;
   bool supported;
 };
+
+// Print the syscall name rather than the raw bytes (which include padding)
+// so test names are stable.
+void PrintTo(const CompatCase& c, std::ostream* os) {
+  *os << kernel::sysno_name(c.nr);
+}
 
 class GvisorCompatTest : public GvisorTest,
                          public ::testing::WithParamInterface<CompatCase> {};

@@ -11,12 +11,11 @@
 
 #include "core/campaign.h"
 #include "core/minimize.h"
-#include "core/provenance.h"
 #include "core/seeds.h"
 #include "core/workdir.h"
-#include "feedback/syscall_profile.h"
 #include "kernel/errno.h"
 #include "kernel/syscalls.h"
+#include "run/run.h"
 #include "selftest/faultinject.h"
 #include "selftest/harness.h"
 #include "selftest/invariants.h"
@@ -193,29 +192,20 @@ TEST(TruncateFile, TornArtifactsAreRejectedNotFatal) {
 
 // --- replay -------------------------------------------------------------------
 
-// Records a mini campaign (manifest-capturable config only) with the full
-// `torpedo run --workdir` artifact stack.
-core::CampaignManifest record_workdir(const fs::path& dir,
-                                      std::uint64_t seed) {
+// Records a mini campaign (manifest-capturable config only) through the
+// `torpedo run --workdir` path.
+void record_workdir(const fs::path& dir, std::uint64_t seed, int shards = 1) {
   core::CampaignManifest manifest;
   manifest.batches = 1;
   manifest.num_executors = 2;
   manifest.round_duration = 40 * kMillisecond;
   manifest.num_seeds = 4;
   manifest.seed = seed;
-  feedback::SyscallProfile profile;
-  feedback::set_syscall_profile(&profile);
-  core::Campaign campaign(manifest.to_config());
-  campaign.load_default_seeds();
-  const core::CampaignReport report = campaign.run();
-  feedback::set_syscall_profile(nullptr);
-  core::save_corpus(dir / "corpus.txt", campaign.corpus());
-  core::save_report(dir / "report.txt", report);
-  core::write_violation_bundles(dir, report);
-  std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-  out << profile.to_json(&kernel::sysno_name) << "\n";
-  core::save_campaign_manifest(dir / "campaign.json", manifest);
-  return manifest;
+  run::RunOptions options;
+  options.config = manifest.to_config();
+  options.shards = shards;
+  options.workdir = dir;
+  ASSERT_EQ(run::run_campaign(options).error, "");
 }
 
 TEST(Replay, RecordedWorkdirReplaysByteIdentical) {
@@ -226,8 +216,27 @@ TEST(Replay, RecordedWorkdirReplaysByteIdentical) {
   const selftest::ReplayResult result = selftest::replay_workdir(options);
   EXPECT_TRUE(result.ran) << result.error;
   EXPECT_TRUE(result.identical);
-  EXPECT_GE(result.artifacts_compared, 3);
+  // report, corpus, syscall profile, timeseries, mutation efficacy and
+  // clusters, plus one per violation bundle.
+  EXPECT_GE(result.artifacts_compared, 6);
   EXPECT_TRUE(result.diffs.empty());
+}
+
+// The multi-part branch of the replay: a 2-shard workdir regenerates
+// through ShardedCampaign and must match byte for byte.
+TEST(Replay, ShardedWorkdirReplaysByteIdentical) {
+  const fs::path dir = temp_dir("torpedo-replay-shards");
+  record_workdir(dir, 23, 2);
+  ASSERT_TRUE(fs::exists(dir / "heartbeat.shard-1.json"));
+  selftest::ReplayOptions options;
+  options.workdir = dir;
+  const selftest::ReplayResult result = selftest::replay_workdir(options);
+  EXPECT_TRUE(result.ran) << result.error;
+  EXPECT_TRUE(result.identical);
+  EXPECT_GE(result.artifacts_compared, 6);
+  for (const selftest::ReplayDiff& diff : result.diffs)
+    ADD_FAILURE() << diff.artifact << " " << diff.path << ": "
+                  << diff.original << " != " << diff.replayed;
 }
 
 TEST(Replay, DetectsTamperedArtifact) {

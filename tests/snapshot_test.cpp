@@ -18,8 +18,6 @@
 
 #include "core/campaign.h"
 #include "core/seeds.h"
-#include "core/sharded.h"
-#include "core/workdir.h"
 #include "exec/executor.h"
 #include "exec/snapshot.h"
 #include "kernel/kernel.h"
@@ -27,6 +25,7 @@
 #include "kernel/vfs.h"
 #include "observer/observer.h"
 #include "prog/program.h"
+#include "run/run.h"
 #include "runtime/engine.h"
 #include "util/arena.h"
 
@@ -390,24 +389,18 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
+// One campaign through the `torpedo run --workdir` path, minus the two
+// files that may differ by design: the wall-clock heartbeat(s) and the
+// manifest, which records the snapshot_exec setting itself.
 void run_workdir(const fs::path& dir, bool snapshot, int shards) {
-  const core::CampaignConfig config = identity_config(snapshot);
-  core::CampaignReport report;
-  if (shards > 1) {
-    core::ShardedConfig sharded_config;
-    sharded_config.base = config;
-    sharded_config.shards = shards;
-    core::ShardedCampaign sharded(sharded_config);
-    report = sharded.run();
-    core::save_corpus(dir / "corpus.txt", sharded.merged_corpus());
-  } else {
-    core::Campaign campaign(config);
-    campaign.load_default_seeds();
-    report = campaign.run();
-    core::save_corpus(dir / "corpus.txt", campaign.corpus());
-  }
-  core::save_report(dir / "report.txt", report);
-  core::write_violation_bundles(dir, report);
+  run::RunOptions options;
+  options.config = identity_config(snapshot);
+  options.shards = shards;
+  options.workdir = dir;
+  ASSERT_EQ(run::run_campaign(options).error, "");
+  fs::remove(dir / "campaign.json");
+  for (int k = 0; k < shards; ++k)
+    fs::remove(dir / run::part_file("heartbeat.json", k, shards));
 }
 
 void expect_identical_trees(const fs::path& a, const fs::path& b) {

@@ -13,6 +13,7 @@
 #include "core/campaign.h"
 #include "core/provenance.h"
 #include "core/workdir.h"
+#include "run/run.h"
 #include "runtime/runtime.h"
 #include "telemetry/json.h"
 #include "triage/cluster.h"
@@ -227,27 +228,24 @@ core::CampaignConfig small_config() {
 }
 
 TEST(Pipeline, InProcessAndBundleExtractionAgree) {
-  const core::CampaignConfig config = small_config();
-  core::Campaign campaign(config);
-  campaign.load_default_seeds();
-  const core::CampaignReport report = campaign.run();
-  ASSERT_FALSE(report.findings.empty());
-
-  const triage::TriageResult in_process = triage::cluster_report(
-      report, runtime::runtime_name(config.runtime));
-  EXPECT_EQ(in_process.findings + in_process.duplicates,
-            static_cast<int>(report.provenance.size()));
+  const fs::path dir = fresh_dir("torpedo-triage-pipeline");
+  run::RunOptions options;
+  options.config = small_config();
+  options.workdir = dir;
+  const run::RunResult result = run::run_campaign(options);
+  ASSERT_EQ(result.error, "");
+  ASSERT_FALSE(result.report.findings.empty());
+  EXPECT_EQ(result.clusters.findings + result.clusters.duplicates,
+            static_cast<int>(result.report.provenance.size()));
 
   // Re-reading the written bundles must reproduce the exact same clusters:
   // `torpedo report`/`torpedo diff` on a workdir see what `torpedo run` saw.
-  const fs::path dir = fresh_dir("torpedo-triage-pipeline");
-  core::write_violation_bundles(dir, report);
-  core::save_campaign_manifest(
-      dir / "campaign.json", core::CampaignManifest::from_config(config));
+  // Without clusters.json, triage_workdir re-extracts from the bundles.
+  fs::remove(dir / "clusters.json");
   const auto offline = triage::triage_workdir(dir);
   ASSERT_TRUE(offline.has_value());
   EXPECT_EQ(triage::clusters_to_json(*offline),
-            triage::clusters_to_json(in_process));
+            triage::clusters_to_json(result.clusters));
 }
 
 // --- live endpoints -----------------------------------------------------------

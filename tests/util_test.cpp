@@ -175,6 +175,11 @@ struct ParseCase {
   std::uint64_t value;
 };
 
+// Print the input text rather than the raw bytes so test names are stable.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
+
 class ParseU64Test : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParseU64Test, Parses) {

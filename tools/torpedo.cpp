@@ -32,11 +32,9 @@
 // one SubcommandSpec, which feeds the parser, the per-subcommand --help
 // text, and the unknown-flag error path alike.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -48,24 +46,17 @@
 #include <unistd.h>
 
 #include "core/campaign.h"
-#include "core/provenance.h"
 #include "core/seeds.h"
-#include "core/sharded.h"
 #include "core/workdir.h"
-#include "feedback/mutation_efficacy.h"
-#include "feedback/syscall_profile.h"
 #include "fleet/coordinator.h"
 #include "fleet/manifest.h"
 #include "fleet/worker.h"
+#include "run/run.h"
 #include "selftest/harness.h"
 #include "selftest/replay.h"
-#include "telemetry/monitor.h"
-#include "telemetry/span.h"
 #include "triage/cluster.h"
 #include "triage/diff.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/timeseries.h"
-#include "telemetry/trace.h"
+#include "telemetry/json.h"
 #include "kernel/errno.h"
 #include "kernel/syscalls.h"
 #include "util/log.h"
@@ -326,318 +317,6 @@ std::optional<core::CampaignConfig> campaign_config(const Args& args) {
   return config;
 }
 
-// Uninstalls the process-wide span tracer on every exit path: the tracer is
-// a stack object in cmd_run, so it must be detached before it is destroyed.
-struct SpanGuard {
-  ~SpanGuard() { telemetry::set_spans(nullptr); }
-};
-
-// Same contract for the process-wide syscall profile.
-struct ProfileGuard {
-  ~ProfileGuard() { feedback::set_syscall_profile(nullptr); }
-};
-
-// ... and for the process-wide mutation-efficacy profiler.
-struct EfficacyGuard {
-  ~EfficacyGuard() { feedback::set_mutation_efficacy(nullptr); }
-};
-
-// `torpedo run --shards N` for N > 1: a ShardedCampaign fleet instead of one
-// Campaign. Per-shard observability (live status, heartbeat, trace sink,
-// watchdog) is wired on each shard's worker thread via the shard hooks; the
-// monitor aggregates everything under {shard="k"} labels. Workdir artifacts
-// are the deterministic merged report/corpus.
-int cmd_run_sharded(const Args& args, const core::CampaignConfig& config,
-                    int shards) {
-  feedback::SyscallProfile profile;
-  ProfileGuard profile_guard;
-  feedback::set_syscall_profile(&profile);
-  feedback::MutationEfficacy efficacy;
-  EfficacyGuard efficacy_guard;
-  feedback::set_mutation_efficacy(&efficacy);
-
-  core::ShardedConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.shards = shards;
-  sharded_config.corpus_sync = !args.has("no-corpus-sync");
-  core::ShardedCampaign sharded(sharded_config);
-
-  if (auto dir = args.get("seeds-dir")) {
-    std::vector<std::string> errors;
-    auto seeds = core::load_seed_files(*dir, &errors);
-    for (const std::string& e : errors)
-      std::fprintf(stderr, "warning: %s\n", e.c_str());
-    std::printf("loaded %zu seeds from %s\n", seeds.size(), dir->c_str());
-    sharded.set_seeds(std::move(seeds));
-  }
-
-  // Per-shard observability slots. deques: these types hold mutexes/atomics
-  // and their addresses are wired into campaigns and the monitor.
-  std::deque<telemetry::LiveStatus> statuses;
-  std::deque<telemetry::Watchdog> watchdogs;
-  std::deque<telemetry::HeartbeatWriter> heartbeats;
-  std::deque<telemetry::TraceSink> traces;
-  // The process-wide span tracer is single-writer, so each shard thread gets
-  // its own tracer via the thread-local override; finalize merges them into
-  // one Chrome trace with pid = shard.
-  std::deque<telemetry::SpanTracer> tracers;
-  std::deque<telemetry::TimeSeriesRecorder> timeseries;
-  const long watchdog_seconds = args.num("watchdog-seconds", 0);
-  const auto workdir = args.get("workdir");
-  const auto trace_path = args.get("trace");
-  const auto chrome_trace = args.get("chrome-trace");
-
-  // "foo.jsonl" -> "foo.shard-3.jsonl"
-  auto shard_file = [](const std::string& base, int shard) {
-    const std::filesystem::path p(base);
-    std::filesystem::path out = p.parent_path() / p.stem();
-    out += ".shard-" + std::to_string(shard);
-    out += p.extension();
-    return out.string();
-  };
-  auto ensure_parent = [](const std::string& path) {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-      std::error_code ec;
-      std::filesystem::create_directories(p.parent_path(), ec);
-    }
-  };
-
-  for (int s = 0; s < shards; ++s) {
-    statuses.emplace_back();
-    {
-      telemetry::TimeSeriesRecorder::Config ts_config;
-      ts_config.shard = s;
-      timeseries.emplace_back(ts_config);
-    }
-    if (chrome_trace) tracers.emplace_back();
-    if (watchdog_seconds > 0) {
-      telemetry::Watchdog::Config wd_config;
-      wd_config.stall_budget_wall_ns =
-          static_cast<Nanos>(watchdog_seconds) * kSecond;
-      wd_config.abort_on_stall = args.has("watchdog-abort");
-      watchdogs.emplace_back(wd_config);
-    }
-    if (workdir)
-      heartbeats.emplace_back(std::filesystem::path(*workdir) /
-                              format("heartbeat.shard-%d.json", s));
-    if (trace_path) {
-      const std::string path = shard_file(*trace_path, s);
-      ensure_parent(path);
-      traces.emplace_back(path);
-      if (!traces.back().ok()) {
-        std::fprintf(stderr, "cannot open trace file %s\n", path.c_str());
-        return 1;
-      }
-    }
-  }
-
-  sharded.set_shard_start_hook([&](int shard, core::Campaign& campaign) {
-    campaign.set_live_status(&statuses[static_cast<std::size_t>(shard)]);
-    campaign.set_timeseries(&timeseries[static_cast<std::size_t>(shard)]);
-    if (!watchdogs.empty())
-      campaign.set_watchdog(&watchdogs[static_cast<std::size_t>(shard)]);
-    if (!heartbeats.empty())
-      campaign.set_heartbeat(&heartbeats[static_cast<std::size_t>(shard)]);
-    if (!traces.empty())
-      campaign.set_trace_sink(&traces[static_cast<std::size_t>(shard)]);
-    if (!tracers.empty()) {
-      telemetry::SpanTracer& tracer =
-          tracers[static_cast<std::size_t>(shard)];
-      tracer.set_sim_clock(
-          [](void* ctx) { return static_cast<sim::Host*>(ctx)->now(); },
-          &campaign.kernel().host());
-      telemetry::set_thread_spans(&tracer);
-    }
-  });
-  std::atomic<Nanos> max_sim_ns{0};
-  sharded.set_shard_finish_hook([&](int shard, core::Campaign& campaign) {
-    statuses[static_cast<std::size_t>(shard)].set_done();
-    if (!tracers.empty()) telemetry::set_thread_spans(nullptr);
-    const Nanos sim = campaign.kernel().host().now();
-    Nanos cur = max_sim_ns.load(std::memory_order_relaxed);
-    while (sim > cur &&
-           !max_sim_ns.compare_exchange_weak(cur, sim,
-                                             std::memory_order_relaxed)) {
-    }
-  });
-
-  // Triage snapshot holder: /findings and /clusters serve empty arrays
-  // until the merged report is clustered below.
-  triage::LiveTriage live_triage;
-
-  std::optional<telemetry::MonitorServer> monitor;
-  if (args.has("monitor-port") || watchdog_seconds > 0) {
-    telemetry::MonitorServer::Config mon_config;
-    mon_config.port = static_cast<int>(args.num("monitor-port", 0));
-    monitor.emplace(mon_config);
-    for (int s = 0; s < shards; ++s)
-      monitor->add_shard(s, &statuses[static_cast<std::size_t>(s)],
-                         watchdogs.empty()
-                             ? nullptr
-                             : &watchdogs[static_cast<std::size_t>(s)]);
-    monitor->set_extra_metrics([&profile, &efficacy, &live_triage] {
-      return profile.to_prometheus(&kernel::sysno_name) +
-             efficacy.to_prometheus() + live_triage.to_prometheus();
-    });
-    monitor->add_json_endpoint("/findings", [&live_triage](
-                                                std::string_view p) {
-      return live_triage.handle(p);
-    });
-    monitor->add_json_endpoint("/clusters", [&live_triage](
-                                                std::string_view p) {
-      return live_triage.handle(p);
-    });
-    if (!monitor->start()) {
-      std::fprintf(stderr, "cannot bind monitor to 127.0.0.1:%d\n",
-                   mon_config.port);
-      return 1;
-    }
-    // Ephemeral-port discovery, as in the sequential path: the bound port
-    // lands in every shard's heartbeat stamps.
-    for (telemetry::HeartbeatWriter& hb : heartbeats)
-      hb.set_monitor_port(monitor->port());
-    std::printf("monitor: http://127.0.0.1:%d/metrics (and /status, "
-                "/healthz, /findings, /clusters; per-shard series under "
-                "{shard=\"k\"})\n",
-                monitor->port());
-  }
-
-  std::printf("fuzzing: runtime=%s executors=%d T=%llds batches=%d "
-              "shards=%d sync=%s\n",
-              std::string(runtime::runtime_name(config.runtime)).c_str(),
-              config.num_executors,
-              static_cast<long long>(config.round_duration / kSecond),
-              config.batches, shards,
-              sharded_config.corpus_sync ? "on" : "off");
-
-  core::CampaignReport report;
-  try {
-    report = sharded.run();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    if (monitor) monitor->stop();
-    return 1;
-  }
-  // Cluster the merged report: the sort-by-hash pass inside makes the
-  // outcome independent of shard interleaving, so shards=N matches the
-  // equivalent unsharded campaign byte for byte.
-  const triage::TriageResult tri =
-      triage::cluster_report(report, runtime::runtime_name(config.runtime));
-  live_triage.install(tri);
-
-  for (int s = 0; s < shards; ++s) {
-    const core::CampaignReport& r =
-        sharded.shard_reports()[static_cast<std::size_t>(s)];
-    std::printf("shard %d: rounds=%d executions=%llu findings=%zu "
-                "crashes=%zu\n",
-                s, r.rounds, static_cast<unsigned long long>(r.executions),
-                r.findings.size(), r.crashes.size());
-  }
-  const feedback::CorpusHub::Stats hub_stats = sharded.hub().stats();
-  std::printf("hub: epochs=%llu published=%llu unique=%llu merged=%llu "
-              "pulled=%llu denylist=%zu\n",
-              static_cast<unsigned long long>(hub_stats.epochs),
-              static_cast<unsigned long long>(hub_stats.published),
-              static_cast<unsigned long long>(hub_stats.unique),
-              static_cast<unsigned long long>(hub_stats.merged),
-              static_cast<unsigned long long>(hub_stats.pulled),
-              hub_stats.denylist_size);
-
-  std::printf("\n%zu findings, %zu crashes over %d rounds (%llu executions)\n",
-              report.findings.size(), report.crashes.size(), report.rounds,
-              static_cast<unsigned long long>(report.executions));
-  for (const core::Finding& f : report.findings)
-    std::printf("  [shard %d] [%s] %s%s\n", f.shard,
-                f.syscall_list().c_str(), f.cause.c_str(),
-                f.is_new ? " (NEW)" : "");
-  for (const core::CrashFinding& c : report.crashes)
-    std::printf("  CRASH: [shard %d] %s\n", c.shard, c.message.c_str());
-  if (!tri.clusters.empty())
-    std::printf("%s", triage::cluster_table(tri).c_str());
-
-  if (monitor) monitor->stop();
-
-  if (workdir) {
-    const std::filesystem::path dir(*workdir);
-    core::save_corpus(dir / "corpus.txt", sharded.merged_corpus());
-    core::save_report(dir / "report.txt", report);
-    triage::save_clusters(dir / "clusters.json", tri);
-    const std::size_t bundles = core::write_violation_bundles(dir, report);
-    {
-      std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-      if (out) out << profile.to_json(&kernel::sysno_name) << "\n";
-    }
-    std::vector<const telemetry::TimeSeriesRecorder*> recorder_ptrs;
-    for (const telemetry::TimeSeriesRecorder& r : timeseries)
-      recorder_ptrs.push_back(&r);
-    core::save_timeseries(dir / "timeseries.jsonl", recorder_ptrs);
-    core::save_mutation_efficacy(dir / "mutation_efficacy.json", efficacy);
-    core::CampaignManifest manifest = core::CampaignManifest::from_config(config);
-    manifest.shards = shards;
-    manifest.corpus_sync = sharded_config.corpus_sync;
-    if (auto seeds_dir = args.get("seeds-dir")) manifest.seeds_dir = *seeds_dir;
-    core::save_campaign_manifest(dir / "campaign.json", manifest);
-    std::printf("workdir written: %s (corpus.txt, report.txt, "
-                "clusters.json, syscall_profile.json, timeseries.jsonl, "
-                "mutation_efficacy.json, campaign.json, %zu violation "
-                "bundle%s)\n",
-                dir.string().c_str(), bundles, bundles == 1 ? "" : "s");
-  }
-
-  if (auto path = args.get("metrics")) {
-    ensure_parent(*path);
-    std::ofstream out(*path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open metrics file %s\n", path->c_str());
-      return 1;
-    }
-    out << telemetry::global().to_json(
-               max_sim_ns.load(std::memory_order_relaxed))
-        << "\n";
-    std::printf("metrics written: %s\n", path->c_str());
-  }
-  if (trace_path) {
-    std::uint64_t records = 0;
-    for (const telemetry::TraceSink& t : traces) records += t.records();
-    std::printf("traces written: %s (%d shard files, %llu records)\n",
-                shard_file(*trace_path, 0).c_str(), shards,
-                static_cast<unsigned long long>(records));
-  }
-  if (chrome_trace) {
-    ensure_parent(*chrome_trace);
-    // One file per shard (its own spans, pid = shard) plus a merged trace at
-    // the requested path with every shard in its own process lane.
-    std::size_t span_count = 0;
-    for (int s = 0; s < shards; ++s) {
-      const std::string path = shard_file(*chrome_trace, s);
-      std::ofstream out(path, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot open chrome trace file %s\n",
-                     path.c_str());
-        return 1;
-      }
-      tracers[static_cast<std::size_t>(s)].write_chrome_trace(out, s);
-      span_count += tracers[static_cast<std::size_t>(s)].spans().size();
-    }
-    std::ofstream out(*chrome_trace, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open chrome trace file %s\n",
-                   chrome_trace->c_str());
-      return 1;
-    }
-    std::vector<std::pair<int, const telemetry::SpanTracer*>> lanes;
-    for (int s = 0; s < shards; ++s)
-      lanes.emplace_back(s, &tracers[static_cast<std::size_t>(s)]);
-    telemetry::write_merged_chrome_trace(out, lanes);
-    std::printf("chrome trace written: %s (%zu spans across %d shard lanes; "
-                "per-shard files %s...)\n",
-                chrome_trace->c_str(), span_count, shards,
-                shard_file(*chrome_trace, 0).c_str());
-  }
-  return 0;
-}
-
 // `torpedo run --fleet-socket ...`: this process is one worker of a fleet
 // coordinator's campaign. Everything about the campaign comes from the fleet
 // manifest (the coordinator wrote it next to the merged workdir), so the
@@ -682,220 +361,125 @@ int cmd_run(const Args& args) {
   auto config = campaign_config(args);
   if (!config) return 2;
 
-  // --shards N forks off into the sharded driver; --shards 1 (the default)
-  // stays on this exact code path, artifacts byte-identical to before the
-  // flag existed.
-  const int shards = static_cast<int>(args.num("shards", 1));
-  if (shards < 1) {
+  run::RunOptions options;
+  options.config = *config;
+  options.shards = static_cast<int>(args.num("shards", 1));
+  if (options.shards < 1) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
-  if (shards > 1) return cmd_run_sharded(args, *config, shards);
+  options.corpus_sync = !args.has("no-corpus-sync");
+  options.seeds_dir = args.get("seeds-dir").value_or("");
+  options.workdir = args.get("workdir").value_or("");
+  options.trace = args.get("trace").value_or("");
+  options.metrics = args.get("metrics").value_or("");
+  options.chrome_trace = args.get("chrome-trace").value_or("");
+  if (args.has("monitor-port"))
+    options.monitor_port = static_cast<int>(args.num("monitor-port", 0));
+  options.watchdog_seconds = args.num("watchdog-seconds", 0);
+  options.watchdog_abort = args.has("watchdog-abort");
+  const bool sharded = options.shards > 1;
 
-  // The per-syscall attribution profiler is always on for `run`: relaxed
-  // single-writer counters cost nothing measurable and /metrics + the report
-  // table both want them.
-  feedback::SyscallProfile profile;
-  ProfileGuard profile_guard;
-  feedback::set_syscall_profile(&profile);
-  // Likewise the per-operator efficacy profiler and the signal-growth
-  // recorder: always-on introspection, pointer-check cheap.
-  feedback::MutationEfficacy efficacy;
-  EfficacyGuard efficacy_guard;
-  feedback::set_mutation_efficacy(&efficacy);
-
-  core::Campaign campaign(*config);
-
-  telemetry::TimeSeriesRecorder timeseries;
-  campaign.set_timeseries(&timeseries);
-
-  const long watchdog_seconds = args.num("watchdog-seconds", 0);
-  telemetry::SpanTracer tracer;
-  SpanGuard span_guard;
-  // The watchdog wants the open span stack in its stall log, so it implies
-  // the tracer even without --chrome-trace.
-  if (args.has("chrome-trace") || watchdog_seconds > 0) {
-    tracer.set_sim_clock(
-        [](void* ctx) { return static_cast<sim::Host*>(ctx)->now(); },
-        &campaign.kernel().host());
-    telemetry::set_spans(&tracer);
-  }
-
-  telemetry::LiveStatus status;
-  campaign.set_live_status(&status);
-
-  std::optional<telemetry::HeartbeatWriter> heartbeat;
-  if (auto workdir = args.get("workdir")) {
-    heartbeat.emplace(std::filesystem::path(*workdir) / "heartbeat.json");
-    campaign.set_heartbeat(&*heartbeat);
-  }
-
-  std::optional<telemetry::Watchdog> watchdog;
-  if (watchdog_seconds > 0) {
-    telemetry::Watchdog::Config wd_config;
-    wd_config.stall_budget_wall_ns =
-        static_cast<Nanos>(watchdog_seconds) * kSecond;
-    wd_config.abort_on_stall = args.has("watchdog-abort");
-    watchdog.emplace(wd_config);
-    campaign.set_watchdog(&*watchdog);
-  }
-
-  // Triage snapshot holder: /findings and /clusters serve empty arrays
-  // until finalize() installs the clustered result.
-  triage::LiveTriage live_triage;
-
-  // The watchdog samples progress on the monitor thread, so asking for a
-  // watchdog without --monitor-port still starts the server (ephemeral
-  // port).
-  std::optional<telemetry::MonitorServer> monitor;
-  if (args.has("monitor-port") || watchdog) {
-    telemetry::MonitorServer::Config mon_config;
-    mon_config.port = static_cast<int>(args.num("monitor-port", 0));
-    monitor.emplace(mon_config);
-    monitor->set_status(&status);
-    if (watchdog) monitor->set_watchdog(&*watchdog);
-    monitor->set_extra_metrics([&profile, &efficacy, &live_triage] {
-      return profile.to_prometheus(&kernel::sysno_name) +
-             efficacy.to_prometheus() + live_triage.to_prometheus();
-    });
-    monitor->add_json_endpoint("/findings", [&live_triage](
-                                                std::string_view p) {
-      return live_triage.handle(p);
-    });
-    monitor->add_json_endpoint("/clusters", [&live_triage](
-                                                std::string_view p) {
-      return live_triage.handle(p);
-    });
-    if (!monitor->start()) {
-      std::fprintf(stderr, "cannot bind monitor to 127.0.0.1:%d\n",
-                   mon_config.port);
-      return 1;
-    }
-    // --monitor-port 0 binds an ephemeral port; record the actual port in
-    // every heartbeat stamp so external tooling can discover the endpoint.
-    if (heartbeat) heartbeat->set_monitor_port(monitor->port());
-    std::printf("monitor: http://127.0.0.1:%d/metrics (and /status, "
-                "/healthz, /findings, /clusters)\n",
-                monitor->port());
-  }
-
-  // Output files may point into a not-yet-created workdir.
-  auto ensure_parent = [](const std::string& path) {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-      std::error_code ec;
-      std::filesystem::create_directories(p.parent_path(), ec);
-    }
-  };
-
-  std::optional<telemetry::TraceSink> trace;
-  if (auto path = args.get("trace")) {
-    ensure_parent(*path);
-    trace.emplace(*path);
-    if (!trace->ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", path->c_str());
-      return 1;
-    }
-    campaign.set_trace_sink(&*trace);
-  }
-
-  if (auto dir = args.get("seeds-dir")) {
-    std::vector<std::string> errors;
-    auto seeds = core::load_seed_files(*dir, &errors);
+  run::RunProgress progress;
+  progress.seeds_loaded = [&](std::size_t n,
+                              const std::vector<std::string>& errors) {
     for (const std::string& e : errors)
       std::fprintf(stderr, "warning: %s\n", e.c_str());
-    std::printf("loaded %zu seeds from %s\n", seeds.size(), dir->c_str());
-    campaign.load_seeds(std::move(seeds));
-  } else {
-    campaign.load_default_seeds();
-  }
+    std::printf("loaded %zu seeds from %s\n", n, options.seeds_dir.c_str());
+  };
+  progress.monitor_started = [&](int port) {
+    std::printf("monitor: http://127.0.0.1:%d/metrics (and /status, "
+                "/healthz, /findings, /clusters%s)\n",
+                port,
+                sharded ? "; per-shard series under {shard=\"k\"}" : "");
+  };
+  progress.batch_done = [](int b, const core::BatchResult& batch) {
+    std::printf("batch %2d: rounds=%2d score %.1f -> %.1f (+%d confirmed)%s\n",
+                b, batch.rounds, batch.baseline_score, batch.best_score,
+                batch.improvements, batch.saw_crash ? " [crash]" : "");
+  };
 
-  std::printf("fuzzing: runtime=%s executors=%d T=%llds batches=%d\n",
+  std::printf("fuzzing: runtime=%s executors=%d T=%llds batches=%d",
               std::string(runtime::runtime_name(config->runtime)).c_str(),
               config->num_executors,
               static_cast<long long>(config->round_duration / kSecond),
               config->batches);
+  if (sharded)
+    std::printf(" shards=%d sync=%s", options.shards,
+                options.corpus_sync ? "on" : "off");
+  std::printf("\n");
 
-  for (int b = 0; b < config->batches; ++b) {
-    const core::BatchResult batch = campaign.run_one_batch();
-    std::printf("batch %2d: rounds=%2d score %.1f -> %.1f (+%d confirmed)%s\n",
-                b, batch.rounds, batch.baseline_score, batch.best_score,
-                batch.improvements, batch.saw_crash ? " [crash]" : "");
+  const run::RunResult result = run::run_campaign(options, progress);
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "%s\n", result.error.c_str());
+    return 1;
   }
-  const core::CampaignReport report = campaign.finalize();
-  // Cluster the findings while the provenance records are still in memory;
-  // the same result feeds the live endpoints, the stdout table, and
-  // workdir/clusters.json.
-  const triage::TriageResult tri = triage::cluster_report(
-      report, runtime::runtime_name(config->runtime));
-  live_triage.install(tri);
+  const core::CampaignReport& report = result.report;
+
+  for (std::size_t s = 0; s < result.shard_reports.size(); ++s) {
+    const core::CampaignReport& r = result.shard_reports[s];
+    std::printf("shard %zu: rounds=%d executions=%llu findings=%zu "
+                "crashes=%zu\n",
+                s, r.rounds, static_cast<unsigned long long>(r.executions),
+                r.findings.size(), r.crashes.size());
+  }
+  if (sharded)
+    std::printf("hub: epochs=%llu published=%llu unique=%llu merged=%llu "
+                "pulled=%llu denylist=%llu\n",
+                static_cast<unsigned long long>(result.hub.epochs),
+                static_cast<unsigned long long>(result.hub.published),
+                static_cast<unsigned long long>(result.hub.unique),
+                static_cast<unsigned long long>(result.hub.merged),
+                static_cast<unsigned long long>(result.hub.pulled),
+                static_cast<unsigned long long>(result.hub.denylist_size));
 
   std::printf("\n%zu findings, %zu crashes over %d rounds (%llu executions)\n",
               report.findings.size(), report.crashes.size(), report.rounds,
               static_cast<unsigned long long>(report.executions));
+  const auto shard_tag = [sharded](int shard) {
+    return sharded ? format("[shard %d] ", shard) : std::string();
+  };
   for (const core::Finding& f : report.findings)
-    std::printf("  [%s] %s%s\n", f.syscall_list().c_str(), f.cause.c_str(),
+    std::printf("  %s[%s] %s%s\n", shard_tag(f.shard).c_str(),
+                f.syscall_list().c_str(), f.cause.c_str(),
                 f.is_new ? " (NEW)" : "");
   for (const core::CrashFinding& c : report.crashes)
-    std::printf("  CRASH: %s\n", c.message.c_str());
-  if (!tri.clusters.empty())
-    std::printf("%s", triage::cluster_table(tri).c_str());
+    std::printf("  CRASH: %s%s\n", shard_tag(c.shard).c_str(),
+                c.message.c_str());
+  if (!result.clusters.clusters.empty())
+    std::printf("%s", triage::cluster_table(result.clusters).c_str());
 
-  if (monitor) monitor->stop();
-
-  if (auto workdir = args.get("workdir")) {
-    const std::filesystem::path dir(*workdir);
-    core::save_corpus(dir / "corpus.txt", campaign.corpus());
-    core::save_report(dir / "report.txt", report);
-    triage::save_clusters(dir / "clusters.json", tri);
-    const std::size_t bundles = core::write_violation_bundles(dir, report);
-    {
-      std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-      if (out) out << profile.to_json(&kernel::sysno_name) << "\n";
-    }
-    const telemetry::TimeSeriesRecorder* recorder_ptrs[] = {&timeseries};
-    core::save_timeseries(dir / "timeseries.jsonl", recorder_ptrs);
-    core::save_mutation_efficacy(dir / "mutation_efficacy.json", efficacy);
-    // The manifest makes the workdir replayable: `torpedo selftest --replay`
-    // re-executes the campaign from it and diffs every artifact.
-    core::CampaignManifest manifest =
-        core::CampaignManifest::from_config(*config);
-    if (auto seeds_dir = args.get("seeds-dir")) manifest.seeds_dir = *seeds_dir;
-    core::save_campaign_manifest(dir / "campaign.json", manifest);
+  if (!options.workdir.empty())
     std::printf("workdir written: %s (corpus.txt, report.txt, "
                 "clusters.json, syscall_profile.json, timeseries.jsonl, "
                 "mutation_efficacy.json, campaign.json, %zu violation "
                 "bundle%s)\n",
-                dir.string().c_str(), bundles, bundles == 1 ? "" : "s");
+                options.workdir.string().c_str(), result.bundles,
+                result.bundles == 1 ? "" : "s");
+  if (!options.metrics.empty())
+    std::printf("metrics written: %s\n", options.metrics.c_str());
+  if (!options.trace.empty()) {
+    if (sharded)
+      std::printf("traces written: %s (%d shard files, %llu records)\n",
+                  run::part_file(options.trace, 0, options.shards).c_str(),
+                  options.shards,
+                  static_cast<unsigned long long>(result.trace_records));
+    else
+      std::printf("trace written: %s (%llu records)\n",
+                  options.trace.c_str(),
+                  static_cast<unsigned long long>(result.trace_records));
   }
-
-  if (auto path = args.get("metrics")) {
-    ensure_parent(*path);
-    std::ofstream out(*path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open metrics file %s\n", path->c_str());
-      return 1;
-    }
-    out << telemetry::global().to_json(campaign.kernel().host().now()) << "\n";
-    std::printf("metrics written: %s\n", path->c_str());
-  }
-  if (trace) {
-    std::printf("trace written: %s (%llu records)\n",
-                args.get("trace")->c_str(),
-                static_cast<unsigned long long>(trace->records()));
-  }
-  if (auto path = args.get("chrome-trace")) {
-    ensure_parent(*path);
-    std::ofstream out(*path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open chrome trace file %s\n",
-                   path->c_str());
-      return 1;
-    }
-    tracer.write_chrome_trace(out);
-    std::printf("chrome trace written: %s (%zu spans; open in Perfetto or "
-                "chrome://tracing)\n",
-                path->c_str(), tracer.spans().size());
+  if (!options.chrome_trace.empty()) {
+    if (sharded)
+      std::printf("chrome trace written: %s (%zu spans across %d shard "
+                  "lanes; per-shard files %s...)\n",
+                  options.chrome_trace.c_str(), result.spans, options.shards,
+                  run::part_file(options.chrome_trace, 0, options.shards)
+                      .c_str());
+    else
+      std::printf("chrome trace written: %s (%zu spans; open in Perfetto or "
+                  "chrome://tracing)\n",
+                  options.chrome_trace.c_str(), result.spans);
   }
   return 0;
 }
