@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <array>
+
 #include "exec/snapshot.h"
 #include "feedback/syscall_profile.h"
 #include "telemetry/span.h"
@@ -40,6 +42,32 @@ struct Executor::State {
   telemetry::Counter* ctr_executions = nullptr;
   telemetry::Counter* ctr_crashes = nullptr;
   telemetry::Counter* ctr_fatal_respawns = nullptr;
+
+  // Executor-local tallies for the shared registry counters and the
+  // process-wide syscall profile. Shard threads would otherwise write the
+  // same cache lines once per iteration and once per call; instead they
+  // flush once per round (take_stats) and on the crash path, so a live
+  // scrape is at most one round stale, like Host's scheduler tallies.
+  std::uint64_t n_executions = 0;
+  std::uint64_t n_crashes = 0;
+  std::uint64_t n_fatal_respawns = 0;
+  // Per-sysno call executions, counted only while a profile is installed.
+  std::array<std::uint64_t, feedback::SyscallProfile::kMaxSysno>
+      sys_executions{};
+
+  void flush_tallies() {
+    if (n_executions) ctr_executions->inc(n_executions);
+    if (n_crashes) ctr_crashes->inc(n_crashes);
+    if (n_fatal_respawns) ctr_fatal_respawns->inc(n_fatal_respawns);
+    n_executions = n_crashes = n_fatal_respawns = 0;
+    feedback::SyscallProfile* profile = feedback::syscall_profile();
+    for (std::size_t nr = 0; nr < sys_executions.size(); ++nr) {
+      if (sys_executions[nr] == 0) continue;
+      if (profile)
+        profile->record_execution(static_cast<int>(nr), sys_executions[nr]);
+      sys_executions[nr] = 0;
+    }
+  }
 
   kernel::SysReq lower(const prog::Call& call,
                        const std::vector<std::int64_t>& results) const {
@@ -95,7 +123,7 @@ struct Executor::State {
     proc->block_deadline = stop_time;
 
     stats.executions++;
-    ctr_executions->inc();
+    n_executions++;
     iter_in_round++;
     const bool collide =
         config.collide_every > 0 &&
@@ -112,7 +140,7 @@ struct Executor::State {
     kernel::SysReq cold_req;
     stats.call_signal.resize(program.size());
     stats.last_iteration.clear();
-    feedback::SyscallProfile* profile = feedback::syscall_profile();
+    const bool profiling = feedback::syscall_profile() != nullptr;
 
     for (std::size_t i = 0; i < program.size(); ++i) {
       // Snapshot restore: patch the dirty result slots of the pre-lowered
@@ -125,7 +153,7 @@ struct Executor::State {
       const kernel::SysResult& r = outcome.res;
 
       if (outcome.runtime_crashed) {
-        ctr_crashes->inc();
+        n_crashes++;
         stats.crashed = true;
         stats.crash_message = outcome.crash_message;
         phase = Phase::kCrashed;
@@ -141,11 +169,14 @@ struct Executor::State {
             engine->stream_output(*container,
                                   pending * config.bytes_per_result);
         }
+        flush_tallies();
         return false;
       }
 
       results[i] = r.ret;
-      if (profile) profile->record_execution(req.nr);
+      if (profiling && req.nr >= 0 &&
+          req.nr < feedback::SyscallProfile::kMaxSysno)
+        sys_executions[static_cast<std::size_t>(req.nr)]++;
       const std::uint64_t sig = feedback::fallback_signal(req.nr, r.err);
       stats.call_signal[i].add(sig);
       stats.last_iteration.push_back({req.nr, r.ret, r.err});
@@ -165,7 +196,7 @@ struct Executor::State {
 
       if (r.fatal_signal != 0) {
         // The program process died; the entrypoint forks a fresh one.
-        ctr_fatal_respawns->inc();
+        n_fatal_respawns++;
         stats.fatal_signals++;
         stats.last_fatal_signal = r.fatal_signal;
         task.push(sim::Segment::user(config.respawn_user));
@@ -297,6 +328,7 @@ const RunStats& Executor::stats() const {
 }
 
 RunStats Executor::take_stats() {
+  state_->flush_tallies();
   state_->refresh_signal_union();
   RunStats out = std::move(state_->stats);
   state_->stats = RunStats{};

@@ -10,7 +10,11 @@
 //
 // Threading matches the telemetry instruments: any number of shard threads
 // may write concurrently (relaxed fetch_add per cell); the monitor thread
-// reads relaxed for /metrics. The profiler is installed process-wide with
+// reads relaxed for /metrics. The executor does not write per call: it
+// tallies call executions in plain executor-local counters and flushes them
+// with record_execution(nr, n) once per round, so shard threads touch the
+// shared cells once per sysno per round and a live scrape is at most one
+// round stale. The profiler is installed process-wide with
 // set_syscall_profile(); every probe site is a pointer check when disabled,
 // so campaigns that don't ask for the profile pay nothing.
 #pragma once
@@ -37,7 +41,10 @@ class SyscallProfile {
   };
 
   // Probes (campaign thread). Out-of-range nrs are dropped, not clamped.
-  void record_execution(int nr) { bump(executions_, nr, 1); }
+  // `n` > 1 flushes a caller's local tally in one bump.
+  void record_execution(int nr, std::uint64_t n = 1) {
+    bump(executions_, nr, n);
+  }
   void record_novel_signal(int nr, std::uint64_t novel) {
     bump(signal_, nr, novel);
   }
@@ -63,8 +70,8 @@ class SyscallProfile {
  private:
   using Cells = std::array<std::atomic<std::uint64_t>, kMaxSysno>;
 
-  // Multi-writer: concurrent shard threads bump shared cells, so the per-call
-  // hot path is a single relaxed RMW.
+  // Multi-writer: concurrent shard threads bump shared cells, so each bump
+  // is a single relaxed RMW (per round per sysno on the execution path).
   static void bump(Cells& cells, int nr, std::uint64_t n) {
     if (nr < 0 || nr >= kMaxSysno || n == 0) return;
     cells[static_cast<std::size_t>(nr)].fetch_add(n,

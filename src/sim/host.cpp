@@ -25,6 +25,7 @@ Host::Host(HostConfig config)
   ctr_sched_picks_ = &metrics.counter("sim.scheduler_picks");
   ctr_wakeups_ = &metrics.counter("sim.wakeups");
   ctr_segments_ = &metrics.counter("sim.segments_finished");
+  ctr_slices_ = &metrics.counter("sim.slices");
   hist_run_until_wall_us_ = &metrics.histogram("sim.run_until_wall_us");
   cores_.resize(static_cast<std::size_t>(config_.num_cores));
   for (int i = 0; i < config_.num_cores; ++i) cores_[static_cast<std::size_t>(i)].id = i;
@@ -203,7 +204,8 @@ void Host::flush_tallies() {
   if (n_picks_) ctr_sched_picks_->inc(n_picks_);
   if (n_wakeups_) ctr_wakeups_->inc(n_wakeups_);
   if (n_segments_) ctr_segments_->inc(n_segments_);
-  n_quanta_ = n_picks_ = n_wakeups_ = n_segments_ = 0;
+  if (n_slices_) ctr_slices_->inc(n_slices_);
+  n_quanta_ = n_picks_ = n_wakeups_ = n_segments_ = n_slices_ = 0;
 }
 
 void Host::account(Core& core, CpuCategory cat, Nanos ns) {
@@ -284,7 +286,21 @@ void Host::process_wakeups(Core& core, Nanos t) {
   core.next_timed_wake = next;
 }
 
+void Host::charge_cpu(Core& core, Task& task, cgroup::Cgroup& group, Nanos t,
+                      Nanos user, Nanos sys) {
+  if (user > 0) {
+    account(core, CpuCategory::kUser, user);
+    task.utime_ += user;
+  }
+  if (sys > 0) {
+    account(core, CpuCategory::kSystem, sys);
+    task.stime_ += sys;
+  }
+  if (!skip_cgroup_charging_) group.consume_cpu(t, user + sys);
+}
+
 Nanos Host::run_task_slice(Core& core, Task& task, Nanos t, Nanos budget) {
+  ++n_slices_;
   if (!ensure_segment(task, t)) return 0;
   Segment& seg = task.segments_.front();
 
@@ -327,12 +343,7 @@ Nanos Host::run_task_slice(Core& core, Task& task, Nanos t, Nanos budget) {
   }
 
   const bool user = seg.kind == SegmentKind::kRunUser;
-  account(core, user ? CpuCategory::kUser : CpuCategory::kSystem, allowed);
-  if (user)
-    task.utime_ += allowed;
-  else
-    task.stime_ += allowed;
-  if (!skip_cgroup_charging_) charge->consume_cpu(t, allowed);
+  charge_cpu(core, task, *charge, t, user ? allowed : 0, user ? 0 : allowed);
   task.vruntime_ += static_cast<double>(allowed) / task.weight();
 
   seg.remaining -= allowed;
@@ -409,21 +420,79 @@ void Host::simulate_core(Core& core, Nanos start, Nanos end) {
     // still the only eligible one: nothing woke anywhere (global wakeup
     // counter), nothing joined this core (task-list size), no throttled
     // sibling became eligible, and the task itself is still runnable.
-    // Budgets stay (end - t), so slice split points — and therefore the
-    // floating-point vruntime accumulation — are identical to the slow path.
-    if (sole) {
-      const std::uint64_t wake_mark = core.wake_count;
-      const std::size_t ntasks = core.tasks.size();
-      while (t < end && t < core.next_timed_wake && t < next_throttle_end &&
-             task->state_ == TaskState::kRunnable && core.pending_irq == 0 &&
-             core.pending_softirq == 0 && core.tasks.size() == ntasks &&
-             core.wake_count == wake_mark) {
-        consumed = run_task_slice(core, *task, t, end - t);
-        t += consumed;
-        if (consumed == 0) break;  // throttled or killed: outer loop decides
+    if (sole) t = run_sole(core, *task, t, end, next_throttle_end);
+  }
+}
+
+Nanos Host::run_sole(Core& core, Task& task, Nanos t, Nanos end,
+                     Nanos next_throttle_end) {
+  const std::uint64_t wake_mark = core.wake_count;
+  const std::size_t ntasks = core.tasks.size();
+  cgroup::Cgroup& group = *task.group();
+  // Coalesced run: consecutive on-CPU segments that complete without side
+  // effects (no callback, charged to the task's own group) and fit in the
+  // quota/window headroom measured once at the run's start. Each would be a
+  // full slice with allowed == remaining on the per-segment path, so the
+  // run defers their charge and pays one account per category and one
+  // consume_cpu at the end. The pending charge is flushed before anything
+  // that could observe it runs: a slow slice (supplier, callbacks — syscall
+  // handlers read /proc/stat and cgroup files) or the loop exit.
+  //
+  // Split points match the per-segment path: slow slices keep the budget
+  // (end - t) and coalesced segments finish whole, and vruntime still
+  // advances per segment. A run stops at the headroom, so only its last
+  // segment can bring a group to its quota; consume_cpu counts one
+  // nr_throttled per call that reaches it, as the per-segment calls did.
+  Nanos run_start = t;
+  Nanos run_user = 0;
+  Nanos run_sys = 0;
+  Nanos headroom = -1;  // < 0: not measured since the last flush
+  auto flush = [&] {
+    if (run_user + run_sys > 0) {
+      ++n_slices_;
+      charge_cpu(core, task, group, run_start, run_user, run_sys);
+    }
+    run_user = run_sys = 0;
+    headroom = -1;
+  };
+  while (t < end && t < core.next_timed_wake && t < next_throttle_end &&
+         task.state_ == TaskState::kRunnable && core.pending_irq == 0 &&
+         core.pending_softirq == 0 && core.tasks.size() == ntasks &&
+         core.wake_count == wake_mark) {
+    if (!task.segments_.empty()) {
+      const Segment& seg = task.segments_.front();
+      const bool on_cpu = seg.kind == SegmentKind::kRunUser ||
+                          seg.kind == SegmentKind::kRunSystem;
+      if (on_cpu && seg.remaining > 0 && !seg.on_complete &&
+          (!seg.charge || seg.charge == &group)) {
+        if (headroom < 0) {
+          // Bounded by end - t, so a segment inside the headroom also
+          // finishes inside the quantum.
+          headroom = group.cpu_runtime_available(t, end - t);
+          run_start = t;
+        }
+        if (t - run_start + seg.remaining <= headroom) {
+          // vruntime advances per segment: summing first would round
+          // differently.
+          task.vruntime_ += static_cast<double>(seg.remaining) / task.weight();
+          (seg.kind == SegmentKind::kRunUser ? run_user : run_sys) +=
+              seg.remaining;
+          t += seg.remaining;
+          ++n_segments_;
+          task.segments_.pop_front();
+          continue;
+        }
       }
     }
+    // The slow slice runs the first segment a supplier refill pushes without
+    // re-checking the guards, exactly as the per-segment path does.
+    flush();
+    const Nanos consumed = run_task_slice(core, task, t, end - t);
+    t += consumed;
+    if (consumed == 0) break;  // throttled or killed: outer loop decides
   }
+  flush();
+  return t;
 }
 
 const CoreTimes& Host::core_times(int core) const {

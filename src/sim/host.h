@@ -188,6 +188,14 @@ class Host {
   void simulate_core(Core& core, Nanos start, Nanos end);
   // Runs `task` at time t for at most `budget`; returns time consumed.
   Nanos run_task_slice(Core& core, Task& task, Nanos t, Nanos budget);
+  // Drives the sole runnable `task` from t while a re-pick would provably
+  // return it again; returns the time reached.
+  Nanos run_sole(Core& core, Task& task, Nanos t, Nanos end,
+                 Nanos next_throttle_end);
+  // Charges on-CPU time to the core, the task and `group` (with bandwidth
+  // accounting at `t`).
+  void charge_cpu(Core& core, Task& task, cgroup::Cgroup& group, Nanos t,
+                  Nanos user, Nanos sys);
   // Ensures the task has a current segment; may invoke the supplier or kill
   // the task. Returns false if the task can't run (blocked/dead/empty).
   bool ensure_segment(Task& task, Nanos t);
@@ -234,6 +242,9 @@ class Host {
   std::uint64_t n_picks_ = 0;
   std::uint64_t n_wakeups_ = 0;
   std::uint64_t n_segments_ = 0;
+  // Scheduler work units: one per run_task_slice call plus one per coalesced
+  // run of segments in run_sole.
+  std::uint64_t n_slices_ = 0;
   void flush_tallies();
 
   // Telemetry probes, resolved once at construction (no lookups on the hot
@@ -242,6 +253,7 @@ class Host {
   telemetry::Counter* ctr_sched_picks_ = nullptr;
   telemetry::Counter* ctr_wakeups_ = nullptr;
   telemetry::Counter* ctr_segments_ = nullptr;
+  telemetry::Counter* ctr_slices_ = nullptr;
   telemetry::Histogram* hist_run_until_wall_us_ = nullptr;
 };
 

@@ -59,6 +59,8 @@ class Task {
   Nanos stime() const { return stime_; }
   Nanos cpu_time() const { return utime_ + stime_; }
   Nanos start_time() const { return start_time_; }
+  // CFS virtual runtime: on-CPU time scaled by 1/weight().
+  double vruntime() const { return vruntime_; }
   Nanos end_time() const { return end_time_; }
 
   void push(Segment segment) { segments_.push_back(std::move(segment)); }

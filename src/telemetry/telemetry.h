@@ -14,7 +14,12 @@
 // process-global registry, and the live monitor (`telemetry/monitor.h`)
 // scrapes from a background thread. Instrument values are relaxed
 // std::atomics updated with fetch_add (a single lock-free RMW — `lock xadd`
-// on x86 — correct under any number of concurrent shards). Registry name
+// on x86 — correct under any number of concurrent shards). Even a relaxed
+// RMW bounces its cache line between shard threads, so per-event probes on
+// the execution path (scheduler slices and segments, executor iterations,
+// crashes and respawns) tally in plain thread-local fields and inc() the
+// shared counter in batches: once per Host::run_until() or once per round.
+// A live scrape of those counters is at most one batch stale. Registry name
 // lookup takes a mutex, but probes resolve pointers once, so the hot loop
 // never touches it.
 //
@@ -44,7 +49,8 @@ Nanos steady_now_ns();
 class Counter {
  public:
   // Multi-writer safe: concurrent shards share process-global counters, so
-  // increments must be a single RMW, not load+store.
+  // increments must be a single RMW, not load+store. Hot-path callers batch
+  // their increments (see the threading note above).
   void inc(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
   }

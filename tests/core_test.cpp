@@ -16,6 +16,7 @@
 #include "core/workdir.h"
 #include "kernel/signals.h"
 #include "telemetry/json.h"
+#include "telemetry/telemetry.h"
 
 namespace torpedo::core {
 namespace {
@@ -103,6 +104,28 @@ TEST(Fuzzer, RunBatchProducesRoundsAndCorpus) {
   EXPECT_EQ(campaign.corpus().size(), 3u);
   EXPECT_EQ(campaign.observer().log().size(),
             static_cast<std::size_t>(result.rounds));
+}
+
+// Scheduler work per execution is deterministic, so it is gated exactly.
+// sim.slices counts run_task_slice calls plus coalesced runs of segments;
+// the per-segment scheduler this replaced made 2501229 slices on this batch,
+// 8.44 per execution: one per on-CPU segment.
+TEST(Fuzzer, SchedulerSlicesPerExecutionAreExact) {
+  telemetry::Registry& metrics = telemetry::global();
+  const std::uint64_t slices0 = metrics.counter("sim.slices").value();
+  const std::uint64_t execs0 = metrics.counter("exec.executions").value();
+  Campaign campaign(fast_config());
+  campaign.load_seeds({*named_seed("appendix-a1-prog0"),
+                       *named_seed("appendix-a1-prog1"),
+                       *named_seed("appendix-a1-prog2")});
+  campaign.run_one_batch();
+  const std::uint64_t slices = metrics.counter("sim.slices").value() - slices0;
+  const std::uint64_t execs =
+      metrics.counter("exec.executions").value() - execs0;
+  EXPECT_EQ(execs, 296369u);
+  EXPECT_EQ(slices, 799516u);  // 2.70 per execution
+  // The budget: at most 3 slices per execution.
+  EXPECT_LE(static_cast<double>(slices), 3.0 * static_cast<double>(execs));
 }
 
 TEST(Fuzzer, CycleOutBoundsRounds) {

@@ -449,13 +449,18 @@ TEST_F(KernelTest, CoredumpHelperRunsInRootCgroup) {
 
 // --- sockets & modprobe ---------------------------------------------------------------
 
+// gtest names these cases by the struct's raw bytes, so it must have no
+// padding: with a trailing bool, three uninitialised bytes made the test IDs
+// change from run to run. All-int fields keep every byte defined and the IDs
+// stable.
 struct SocketCase {
   int family;
   int type;
   int protocol;
   int want_err;
-  bool want_modprobe;
+  int want_modprobe;  // 0 or 1
 };
+static_assert(sizeof(SocketCase) == 5 * sizeof(int));
 
 class SocketTest : public KernelTest,
                    public ::testing::WithParamInterface<SocketCase> {};
@@ -477,27 +482,27 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, SocketTest,
     ::testing::Values(
         // Loaded families succeed.
-        SocketCase{1, 1, 0, 0, false},   // unix stream
-        SocketCase{2, 2, 17, 0, false},  // inet udp
-        SocketCase{10, 1, 6, 0, false},  // inet6 tcp
-        SocketCase{16, 3, 9, 0, false},  // netlink audit (Table A.3!)
-        SocketCase{17, 2, 0, 0, false},  // packet
+        SocketCase{1, 1, 0, 0, 0},  // unix stream
+        SocketCase{2, 2, 17, 0, 0},  // inet udp
+        SocketCase{10, 1, 6, 0, 0},  // inet6 tcp
+        SocketCase{16, 3, 9, 0, 0},  // netlink audit (Table A.3!)
+        SocketCase{17, 2, 0, 0, 0},  // packet
         // Valid-but-missing modules: modprobe fires, errno 97.
-        SocketCase{3, 3, 9, EAFNOSUPPORT_, true},   // AX25
-        SocketCase{4, 3, 7, EAFNOSUPPORT_, true},   // IPX (the A.1.3 pair)
-        SocketCase{9, 2, 0, EAFNOSUPPORT_, true},   // X25
-        SocketCase{21, 1, 0, EAFNOSUPPORT_, true},  // RDS
-        SocketCase{44, 1, 0, EAFNOSUPPORT_, true},
+        SocketCase{3, 3, 9, EAFNOSUPPORT_, 1},  // AX25
+        SocketCase{4, 3, 7, EAFNOSUPPORT_, 1},  // IPX (the A.1.3 pair)
+        SocketCase{9, 2, 0, EAFNOSUPPORT_, 1},   // X25
+        SocketCase{21, 1, 0, EAFNOSUPPORT_, 1},  // RDS
+        SocketCase{44, 1, 0, EAFNOSUPPORT_, 1},
         // Invalid family: rejected before the module path, no modprobe.
-        SocketCase{45, 1, 0, EAFNOSUPPORT_, false},
-        SocketCase{200, 1, 0, EAFNOSUPPORT_, false},
+        SocketCase{45, 1, 0, EAFNOSUPPORT_, 0},
+        SocketCase{200, 1, 0, EAFNOSUPPORT_, 0},
         // Bad type on a loaded family: errno 94 + modprobe.
-        SocketCase{2, 0, 0, ESOCKTNOSUPPORT_, true},
-        SocketCase{2, 7, 0, ESOCKTNOSUPPORT_, true},
+        SocketCase{2, 0, 0, ESOCKTNOSUPPORT_, 1},
+        SocketCase{2, 7, 0, ESOCKTNOSUPPORT_, 1},
         // Bad protocol on a loaded family: errno 93 + modprobe.
-        SocketCase{2, 2, 99, EPROTONOSUPPORT_, true},
-        SocketCase{16, 3, 23, EPROTONOSUPPORT_, true},
-        SocketCase{1, 1, 5, EPROTONOSUPPORT_, true}));
+        SocketCase{2, 2, 99, EPROTONOSUPPORT_, 1},
+        SocketCase{16, 3, 23, EPROTONOSUPPORT_, 1},
+        SocketCase{1, 1, 5, EPROTONOSUPPORT_, 1}));
 
 TEST_F(KernelTest, ModprobeHasNoNegativeCache) {
   // "repeated requests for a socket will cause modprobe to be executed

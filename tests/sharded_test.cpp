@@ -2,6 +2,7 @@
 // monitor aggregation, and the determinism contract of the merged report.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -13,7 +14,9 @@
 #include "core/sharded.h"
 #include "core/workdir.h"
 #include "feedback/corpus_hub.h"
+#include "feedback/syscall_profile.h"
 #include "telemetry/monitor.h"
+#include "telemetry/telemetry.h"
 #include "util/time.h"
 
 using namespace torpedo;
@@ -313,6 +316,48 @@ TEST(ShardedCampaignTest, HooksRunPerShardAndSyncCanBeDisabled) {
   // Sync off: the hub saw only the final leave()s, never an exchange.
   EXPECT_EQ(fleet.hub().stats().epochs, 0u);
   EXPECT_EQ(fleet.hub().stats().published, 0u);
+}
+
+// Executors tally executions, crashes, respawns and per-sysno call counts
+// locally and flush them once per round and on the crash path. Across two
+// shard threads and crashed rounds nothing may be lost or counted twice: the
+// registry delta must equal the executions of every observed round (the
+// report's count plus finalize's confirmation rounds), and the profile must
+// hold every call the per-call profiler counted before batching.
+TEST(ShardedCampaignTest, ExecutorTalliesFlushExactlyAcrossShardsAndCrashes) {
+  feedback::SyscallProfile profile;
+  feedback::SyscallProfile* const previous = feedback::syscall_profile();
+  feedback::set_syscall_profile(&profile);
+  telemetry::Registry& metrics = telemetry::global();
+  const std::uint64_t execs0 = metrics.counter("exec.executions").value();
+  const std::uint64_t crashes0 =
+      metrics.counter("exec.container_crashes").value();
+
+  ShardedConfig config;
+  config.base = fast_config();
+  config.base.runtime = runtime::RuntimeKind::kGvisor;
+  config.base.batches = 1;
+  config.shards = 2;
+  ShardedCampaign fleet(config);
+  std::array<telemetry::LiveStatus, 2> status;
+  fleet.set_shard_start_hook([&](int shard, Campaign& campaign) {
+    campaign.set_live_status(&status[static_cast<std::size_t>(shard)]);
+  });
+  const CampaignReport merged = fleet.run();
+  feedback::set_syscall_profile(previous);
+
+  EXPECT_EQ(metrics.counter("exec.container_crashes").value() - crashes0,
+            20u);
+  EXPECT_FALSE(merged.crashes.empty());
+  const std::uint64_t observed =
+      status[0].executions() + status[1].executions();
+  EXPECT_EQ(metrics.counter("exec.executions").value() - execs0, observed);
+  EXPECT_EQ(merged.executions, 441565u);
+  EXPECT_EQ(observed, 443916u);
+  std::uint64_t calls = 0;
+  for (const feedback::SyscallProfile::Row& row : profile.rows())
+    calls += row.executions;
+  EXPECT_EQ(calls, 1011674u);
 }
 
 }  // namespace

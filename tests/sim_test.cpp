@@ -3,9 +3,13 @@
 // the noise model.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "sim/block_device.h"
 #include "sim/host.h"
 #include "sim/noise.h"
+#include "telemetry/telemetry.h"
 #include "util/check.h"
 
 namespace torpedo::sim {
@@ -432,6 +436,179 @@ TEST(Noise, ZeroUtilizationStaysIdle) {
   install_noise(host, cfg);
   host.run_for(kSecond);
   EXPECT_EQ(host.aggregate_times().busy(), 0);
+}
+
+// --- coalesced sole-runnable runs ---------------------------------------------
+//
+// The sole-runnable path charges runs of callback-free segments in one step.
+// This workload mixes everything that must split a run — user and system
+// time, root-charged segments, a callback that wakes a sibling, a supplier
+// that defers work to a kworker on the same core, timed blocks, segments
+// straddling a quantum end — under a binding CFS quota, and fingerprints the
+// observable state at every quantum boundary. The expected values were
+// recorded from the per-segment scheduler, which charged every segment
+// separately.
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(Nanos v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+struct CoalesceRun {
+  std::uint64_t boundaries = 0;  // digest of the state at every quantum end
+  std::uint64_t wakes = 0;       // digest of the sibling/kworker run order
+  std::size_t wake_events = 0;
+  Nanos user = 0, system = 0, idle = 0;
+  Nanos capped_usage = 0;
+  std::uint64_t nr_periods = 0, nr_throttled = 0;
+  Nanos task_utime = 0, task_stime = 0;
+  double task_vruntime = 0;
+  std::uint64_t slices = 0, segments = 0;
+};
+
+CoalesceRun run_coalesce_workload() {
+  telemetry::Registry metrics;
+  HostConfig cfg = small_host(1);
+  cfg.metrics = &metrics;
+  Host host(cfg);
+  auto& cg = host.cgroups();
+  cgroup::Cgroup& capped = cg.create(cg.root(), "capped");
+  capped.cpu().quota = 30 * kMillisecond;  // 30% of one 100 ms period
+  // A weight that is not a power of two makes every vruntime step round.
+  capped.cpu().shares = 3000;
+  cgroup::Cgroup& root = cg.root();
+
+  // (who, when): 'S' the sibling's supplier ran, 'K' a kworker completed.
+  std::vector<std::pair<char, Nanos>> log;
+
+  Task& sibling = host.spawn({
+      .name = "sibling",
+      .group = &capped,
+      .supplier =
+          [&log](Host& h, Task& task) {
+            log.emplace_back('S', h.now());
+            task.push(Segment::user(4 * kMicrosecond));
+            task.push(Segment::block_wake());
+            return true;
+          },
+  });
+  sibling.push(Segment::block_wake());
+
+  std::uint64_t calls = 0;
+  Task& task = host.spawn({
+      .name = "fuzzer",
+      .group = &capped,
+      .supplier =
+          [&](Host& h, Task& t) {
+            const std::uint64_t k = calls++;
+            t.push(Segment::user(7 * kMicrosecond));
+            t.push(Segment::system(13 * kMicrosecond));
+            t.push(Segment::user(5 * kMicrosecond, &root));
+            t.push(Segment::system(11 * kMicrosecond));
+            t.push(std::move(Segment::user(3 * kMicrosecond)
+                                 .then(
+                                     [](Host& hh, std::uint64_t s) {
+                                       hh.wake(*reinterpret_cast<Task*>(s));
+                                     },
+                                     reinterpret_cast<std::uint64_t>(
+                                         &sibling))));
+            t.push(Segment::system(9 * kMicrosecond, &capped));
+            // Odd lengths in one run: per-segment vruntime steps round
+            // differently from one step over their sum.
+            const Nanos burst[] = {1'001, 2'003, 3'007, 4'013, 5'021};
+            for (std::size_t i = 0; i < std::size(burst); ++i)
+              t.push(i % 2 ? Segment::system(burst[i])
+                           : Segment::user(burst[i]));
+            if (k % 5 == 0) {
+              WorkItem item;
+              item.name = "deferred";
+              item.system_time = 20 * kMicrosecond;
+              item.on_complete = [&log, &h] {
+                log.emplace_back('K', h.now());
+              };
+              h.schedule_work(std::move(item));
+            }
+            if (k % 7 == 3) t.push(Segment::user(1300 * kMicrosecond));
+            if (k % 4 == 1)
+              t.push(Segment::block_until(h.now() + 50 * kMicrosecond));
+            t.push(Segment::user(2 * kMicrosecond));
+            return true;
+          },
+  });
+
+  CoalesceRun out;
+  Fnv boundaries;
+  host.set_tick_hook([&](Host& h) {
+    boundaries.add(h.now());
+    for (int c = 0; c < kNumCpuCategories; ++c)
+      boundaries.add(h.core_times(0)[static_cast<CpuCategory>(c)]);
+    for (const cgroup::Cgroup* g : {&root, &capped}) {
+      boundaries.add(g->cpu().usage);
+      boundaries.add(g->cpu().nr_periods);
+      boundaries.add(g->cpu().nr_throttled);
+    }
+    for (const Task* t : {&task, &sibling}) {
+      boundaries.add(t->utime());
+      boundaries.add(t->stime());
+      boundaries.add(t->vruntime());
+    }
+    boundaries.add(static_cast<std::uint64_t>(log.size()));
+  });
+  host.run_for(350 * kMillisecond);
+  host.set_tick_hook(nullptr);
+
+  Fnv wakes;
+  for (const auto& [who, when] : log) {
+    wakes.add(static_cast<std::uint64_t>(who));
+    wakes.add(when);
+  }
+  const CoreTimes& times = host.core_times(0);
+  out.boundaries = boundaries.h;
+  out.wakes = wakes.h;
+  out.wake_events = log.size();
+  out.user = times[CpuCategory::kUser];
+  out.system = times[CpuCategory::kSystem];
+  out.idle = times[CpuCategory::kIdle];
+  out.capped_usage = capped.cpu().usage;
+  out.nr_periods = capped.cpu().nr_periods;
+  out.nr_throttled = capped.cpu().nr_throttled;
+  out.task_utime = task.utime();
+  out.task_stime = task.stime();
+  out.task_vruntime = task.vruntime();
+  out.slices = metrics.counter("sim.slices").value();
+  out.segments = metrics.counter("sim.segments_finished").value();
+  expect_conservation(host);
+  return out;
+}
+
+TEST(CoalescedRuns, MatchPerSegmentSchedulerAtEveryQuantum) {
+  const CoalesceRun r = run_coalesce_workload();
+  // Core times, both groups' usage/nr_periods/nr_throttled and both tasks'
+  // utime/stime/vruntime after every one of the 350 quanta.
+  EXPECT_EQ(r.boundaries, 0xfee79949a69d2e2eULL);
+  // Who ran the sibling's supplier or a kworker completion, and when.
+  EXPECT_EQ(r.wakes, 0xdce68f372851917fULL);
+  EXPECT_EQ(r.wake_events, 572u);
+  EXPECT_EQ(r.user, 103672320);
+  EXPECT_EQ(r.system, 20647680);
+  EXPECT_EQ(r.idle, 225680000);
+  EXPECT_EQ(r.capped_usage, 120000000);  // the quota binds in every window
+  EXPECT_EQ(r.nr_periods, 3u);
+  EXPECT_EQ(r.nr_throttled, 4u);
+  EXPECT_EQ(r.task_utime, 101768320);
+  EXPECT_EQ(r.task_stime, 18727680);
+  EXPECT_EQ(r.task_vruntime, 41129301.333333232);  // bit-exact
+  EXPECT_EQ(r.segments, 7187u);
+  // Scheduler work: slices plus coalesced runs. This workload splits runs
+  // on purpose, so it gates the count rather than the saving.
+  EXPECT_EQ(r.slices, 5908u);
 }
 
 }  // namespace
