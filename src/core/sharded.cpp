@@ -73,7 +73,7 @@ void ShardedCampaign::run_shard(int shard, ShardResult& result) {
   hub_->leave(shard);
 }
 
-CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
+CampaignReport merge_reports(std::vector<CampaignReport> reports) {
   // (finding, provenance) travel as a pair so the post-sort index remap
   // cannot tear them apart.
   struct Item {
@@ -83,8 +83,9 @@ CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
   std::vector<Item> items;
   CampaignReport merged;
 
-  for (int s = 0; s < config_.shards; ++s) {
-    CampaignReport& r = results[static_cast<std::size_t>(s)].report;
+  for (std::size_t s = 0; s < reports.size(); ++s) {
+    CampaignReport& r = reports[s];
+    const int shard = static_cast<int>(s);
     merged.batches += r.batches;
     merged.rounds += r.rounds;
     merged.executions += r.executions;
@@ -95,7 +96,7 @@ CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
     for (std::size_t i = 0; i < r.findings.size(); ++i) {
       Item item;
       item.finding = std::move(r.findings[i]);
-      item.finding.shard = s;
+      item.finding.shard = shard;
       // Per-shard finalize emits exactly one provenance per finding, in
       // finding order; pair defensively by finding_index anyway.
       for (Provenance& p : r.provenance) {
@@ -104,12 +105,12 @@ CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
           break;
         }
       }
-      item.provenance.shard = s;
+      item.provenance.shard = shard;
       items.push_back(std::move(item));
     }
 
     for (CrashFinding& crash : r.crashes) {
-      crash.shard = s;
+      crash.shard = shard;
       // The paper reports distinct bugs; a crash two shards both hit is one
       // bug. Shard-order iteration makes the keeper deterministic.
       const bool duplicate =
@@ -126,11 +127,6 @@ CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
       if (it == merged.denylist.end() || *it != name)
         merged.denylist.insert(it, name);
     }
-
-    for (feedback::CorpusEntry& e :
-         results[static_cast<std::size_t>(s)].corpus)
-      merged_corpus_.add(std::move(e.program), e.signal, e.best_score,
-                         e.lineage);
   }
 
   // Deterministic merged order: (shard, source_round), stable so a shard's
@@ -146,8 +142,6 @@ CampaignReport ShardedCampaign::merge(std::vector<ShardResult>& results) {
     merged.findings.push_back(std::move(items[i].finding));
     merged.provenance.push_back(std::move(items[i].provenance));
   }
-
-  merged.corpus_size = merged_corpus_.size();
   return merged;
 }
 
@@ -173,8 +167,14 @@ CampaignReport ShardedCampaign::run() {
     throw std::runtime_error("sharded campaign failed: " + errors);
 
   shard_reports_.clear();
-  for (const ShardResult& r : results) shard_reports_.push_back(r.report);
-  CampaignReport merged = merge(results);
+  for (ShardResult& r : results) {
+    shard_reports_.push_back(r.report);
+    for (feedback::CorpusEntry& e : r.corpus)
+      merged_corpus_.add(std::move(e.program), e.signal, e.best_score,
+                         e.lineage);
+  }
+  CampaignReport merged = merge_reports(shard_reports_);
+  merged.corpus_size = merged_corpus_.size();
 
   const feedback::CorpusHub::Stats hub_stats = hub_->stats();
   telemetry::Registry& metrics = telemetry::global();

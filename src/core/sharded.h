@@ -42,6 +42,15 @@ struct ShardedConfig {
   bool corpus_sync = true;
 };
 
+// The deterministic fold of per-shard reports, element k being shard k's:
+// every finding, provenance record and crash is stamped with its shard,
+// findings are stable-sorted by (shard, source_round) with provenance
+// re-indexed to match, crashes are deduplicated by message in shard order,
+// the denylist is the sorted union and the counters are summed. The fleet
+// coordinator folds its workers' reports with the same function. The
+// caller sets corpus_size from whatever merged corpus it built.
+CampaignReport merge_reports(std::vector<CampaignReport> reports);
+
 class ShardedCampaign {
  public:
   explicit ShardedCampaign(ShardedConfig config);
@@ -89,7 +98,6 @@ class ShardedCampaign {
   };
 
   void run_shard(int shard, ShardResult& result);
-  CampaignReport merge(std::vector<ShardResult>& results);
 
   ShardedConfig config_;
   std::unique_ptr<feedback::CorpusHub> hub_;

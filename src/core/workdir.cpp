@@ -136,6 +136,14 @@ void save_timeseries(
     if (recorder != nullptr) recorder->flush_jsonl(out);
 }
 
+void save_timeseries(const fs::path& file,
+                     std::span<const telemetry::SampleSeries> series) {
+  if (file.has_parent_path()) fs::create_directories(file.parent_path());
+  std::ofstream out(file);
+  for (const telemetry::SampleSeries& s : series)
+    telemetry::write_samples_jsonl(out, s);
+}
+
 void save_mutation_efficacy(const fs::path& file,
                             const feedback::MutationEfficacy& efficacy) {
   if (file.has_parent_path()) fs::create_directories(file.parent_path());

@@ -19,6 +19,7 @@
 #include "feedback/corpus.h"
 #include "prog/program.h"
 #include "telemetry/json.h"
+#include "telemetry/timeseries.h"
 
 namespace torpedo::feedback {
 class MutationEfficacy;
@@ -59,11 +60,14 @@ std::size_t load_corpus(const std::filesystem::path& file,
 
 // Writes the signal-growth time series as JSONL, shard-major: all of the
 // first recorder's retained samples, then the second's, ... (every run
-// mode writes it through run::Instruments::write_workdir, so the artifact
-// has exactly one byte layout). Null recorders are skipped.
+// mode writes it through run::write_workdir, so the artifact has exactly
+// one byte layout). Null recorders are skipped.
 void save_timeseries(
     const std::filesystem::path& file,
     std::span<const telemetry::TimeSeriesRecorder* const> recorders);
+// The same lines from sample views, shard-major in span order.
+void save_timeseries(const std::filesystem::path& file,
+                     std::span<const telemetry::SampleSeries> series);
 
 // Writes the per-operator mutation-efficacy table as one JSON object.
 void save_mutation_efficacy(const std::filesystem::path& file,

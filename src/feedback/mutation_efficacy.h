@@ -58,6 +58,15 @@ class MutationEfficacy {
   }
   void record_violation(OriginOp op) { bump(violations_, op, 1); }
   void record_corpus_insert(OriginOp op) { bump(corpus_inserts_, op, 1); }
+  // Adds another table's row (the fleet coordinator sums its workers').
+  void add(const Row& row) {
+    bump(attempts_, row.op, row.attempts);
+    bump(accepted_, row.op, row.accepted);
+    bump(executions_, row.op, row.executions);
+    bump(novel_signal_, row.op, row.novel_signal);
+    bump(violations_, row.op, row.violations);
+    bump(corpus_inserts_, row.op, row.corpus_inserts);
+  }
 
   // All six rows in fixed operator order (stable output shape).
   std::vector<Row> rows() const;

@@ -49,6 +49,12 @@ class SyscallProfile {
     bump(signal_, nr, novel);
   }
   void record_implication(int nr) { bump(implications_, nr, 1); }
+  // Adds another profile's row (the fleet coordinator sums its workers').
+  void add(const Row& row) {
+    bump(executions_, row.nr, row.executions);
+    bump(signal_, row.nr, row.signal_new);
+    bump(implications_, row.nr, row.implications);
+  }
 
   // Rows with any non-zero column, ascending by syscall number.
   std::vector<Row> rows() const;

@@ -13,8 +13,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/sharded.h"
 #include "feedback/wire.h"
-#include "fleet/merge.h"
+#include "run/run.h"
 #include "telemetry/aggregate.h"
 #include "telemetry/json.h"
 #include "telemetry/monitor.h"
@@ -95,6 +96,7 @@ Coordinator::Coordinator(FleetConfig config) : config_(std::move(config)) {
   workers_.resize(static_cast<std::size_t>(n));
   for (int w = 0; w < n; ++w) workers_[static_cast<std::size_t>(w)].id = w;
   awaiting_delta_.assign(static_cast<std::size_t>(n), false);
+  done_.resize(static_cast<std::size_t>(n));
   failure_detected_ns_.assign(static_cast<std::size_t>(n), 0);
   // Fork mode calls worker_main() in a fork child with no exec, which is
   // only safe while this process is single-threaded — no monitor thread.
@@ -212,6 +214,7 @@ bool Coordinator::spawn_worker(int worker) {
     st.state = WorkerState::kRunning;
     st.done_frame = false;
   }
+  done_[wi] = {};
   TORPEDO_LOG(LogLevel::kInfo, "fleet: worker %d spawned (pid %d)", worker,
               static_cast<int>(pid));
   return true;
@@ -298,24 +301,22 @@ void Coordinator::handle_frame(Connection& conn, const Frame& frame) {
     }
     case FrameType::kDone: {
       if (conn.worker < 0) break;
-      feedback::WireReader r(frame.payload);
-      WorkerStatus totals;
-      totals.batches = static_cast<int>(r.u32());
-      totals.rounds = static_cast<int>(r.u32());
-      totals.executions = r.u64();
-      totals.corpus = r.u64();
-      totals.findings = r.u64();
-      totals.crashes = r.u64();
-      if (r.at_end()) {
+      const std::size_t wi = static_cast<std::size_t>(conn.worker);
+      // A body that does not decode leaves done_frame false: the reaper
+      // then fails the worker and restarts it, so a report with missing
+      // findings is never merged.
+      if (auto body = core::decode_done(frame.payload)) {
+        const core::CampaignReport& report = body->report;
         std::lock_guard<std::mutex> lock(mu_);
-        WorkerStatus& st = workers_[static_cast<std::size_t>(conn.worker)];
+        WorkerStatus& st = workers_[wi];
         st.done_frame = true;
-        st.batches = totals.batches;
-        st.rounds = totals.rounds;
-        st.executions = totals.executions;
-        st.corpus = totals.corpus;
-        st.findings = totals.findings;
-        st.crashes = totals.crashes;
+        st.batches = report.batches;
+        st.rounds = report.rounds;
+        st.executions = report.executions;
+        st.corpus = report.corpus_size;
+        st.findings = report.findings.size();
+        st.crashes = report.crashes.size();
+        done_[wi] = std::move(*body);
       }
       worker_left(conn.worker);
       return;
@@ -328,9 +329,9 @@ void Coordinator::handle_frame(Connection& conn, const Frame& frame) {
   conn.fd = -1;
 }
 
-void Coordinator::read_connection(std::size_t index) {
-  Connection& conn = *conns_[index];
+void Coordinator::read_connection(Connection& conn) {
   char buf[65536];
+  bool gone = false;  // EOF or a hard error
   for (;;) {
     const ssize_t got = ::read(conn.fd, buf, sizeof(buf));
     if (got > 0) {
@@ -340,26 +341,27 @@ void Coordinator::read_connection(std::size_t index) {
     }
     if (got < 0 && errno == EINTR) continue;
     if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EOF or hard error: the worker is gone from the socket's point of
-    // view. If it never sent kDone this drops its pending publication so
-    // the survivors' barrier cannot stall.
-    ::close(conn.fd);
-    conn.fd = -1;
-    if (conn.worker >= 0) {
-      bool done = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        done = workers_[static_cast<std::size_t>(conn.worker)].done_frame;
-      }
-      if (!done) worker_left(conn.worker);
-    }
-    return;
+    gone = true;
+    break;
   }
+  // Frames read together with the EOF (a worker's kDone just before it
+  // exits) are handled before the connection closes.
   Frame frame;
   while (conn.fd >= 0 && conn.buf.next(&frame)) handle_frame(conn, frame);
-  if (conn.fd >= 0 && conn.buf.error()) {
+  if (conn.fd >= 0 && (gone || conn.buf.error())) {
     ::close(conn.fd);
     conn.fd = -1;
+  }
+  // The worker is gone from the socket's point of view. If it never sent
+  // kDone this drops its pending publication so the survivors' barrier
+  // cannot stall.
+  if (gone && conn.worker >= 0) {
+    bool done = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done = workers_[static_cast<std::size_t>(conn.worker)].done_frame;
+    }
+    if (!done) worker_left(conn.worker);
   }
 }
 
@@ -399,28 +401,31 @@ void Coordinator::reap_children() {
     const pid_t pid = ::waitpid(-1, &status, WNOHANG);
     if (pid <= 0) return;
     int worker = -1;
-    bool done_frame = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (WorkerStatus& st : workers_) {
         if (st.pid != pid) continue;
         worker = st.id;
-        done_frame = st.done_frame;
         st.pid = -1;
         break;
       }
     }
     if (worker < 0) continue;  // not ours (cannot happen in practice)
-    const bool clean =
-        WIFEXITED(status) && WEXITSTATUS(status) == 0 && done_frame;
-    if (clean) {
+    // An exited process has sent everything it will send, but its last
+    // frames (the kDone above all) may still sit unread on its socket:
+    // read them before judging the exit, or a clean worker counts as dead.
+    for (auto& conn : conns_)
+      if (conn->worker == worker && conn->fd >= 0) read_connection(*conn);
+    {
       std::lock_guard<std::mutex> lock(mu_);
-      workers_[static_cast<std::size_t>(worker)].state =
-          WorkerState::kCompleted;
-      TORPEDO_LOG(LogLevel::kInfo, "fleet: worker %d completed", worker);
-    } else {
-      fail_worker(worker);
+      WorkerStatus& st = workers_[static_cast<std::size_t>(worker)];
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 0 && st.done_frame) {
+        st.state = WorkerState::kCompleted;
+        TORPEDO_LOG(LogLevel::kInfo, "fleet: worker %d completed", worker);
+        continue;
+      }
     }
+    fail_worker(worker);
   }
 }
 
@@ -602,7 +607,7 @@ Coordinator::Result Coordinator::run() {
       if ((fds[0].revents & POLLIN) != 0) accept_connections();
       for (std::size_t i = 1; i < fds.size(); ++i)
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-          read_connection(conn_index[i - 1]);
+          read_connection(*conns_[conn_index[i - 1]]);
     }
     // Drop closed connections.
     conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
@@ -619,32 +624,50 @@ Coordinator::Result Coordinator::run() {
   write_fleet_status();
   if (monitor) monitor->stop();
 
-  std::vector<std::filesystem::path> completed_dirs;
+  // The merge is a sharded run's: worker k's report is shard k's (a failed
+  // worker contributes an empty one), folded by merge_reports; the corpus
+  // is the ledger's committed stream, which every published entry passed
+  // through with its coverage signal intact; clustering runs in memory;
+  // the one workdir writer writes the lot.
+  const Nanos merge_start = telemetry::steady_now_ns();
+  std::vector<core::CampaignReport> reports(workers_.size());
+  feedback::SyscallProfile profile;
+  feedback::MutationEfficacy efficacy;
+  std::vector<telemetry::SampleSeries> timeseries;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const WorkerStatus& st : workers_) {
-      if (st.state == WorkerState::kCompleted) {
-        ++result.completed;
-        result.executions += st.executions;
-        completed_dirs.push_back(config_.workdir / "workers" /
-                                 std::to_string(st.id));
-      } else {
+      if (st.state != WorkerState::kCompleted) {
         ++result.failed;
+        continue;
       }
+      ++result.completed;
+      result.executions += st.executions;
+      core::DoneBody& done = done_[static_cast<std::size_t>(st.id)];
+      reports[static_cast<std::size_t>(st.id)] = std::move(done.report);
+      for (const feedback::SyscallProfile::Row& row : done.syscalls)
+        profile.add(row);
+      for (const feedback::MutationEfficacy::Row& row : done.ops)
+        efficacy.add(row);
+      timeseries.push_back({st.id, done.timeseries});
     }
     result.restarts = total_restarts_;
     result.max_recovery_wall_ns = max_recovery_ns_;
   }
-
-  const Nanos merge_start = telemetry::steady_now_ns();
-  MergeOptions merge;
-  merge.workdir = config_.workdir;
-  merge.worker_dirs = std::move(completed_dirs);
-  merge.ledger = ledger_.get();
-  merge.manifest = &config_.manifest;
-  const bool merged = merge_workdir(merge);
+  core::CampaignReport report = core::merge_reports(std::move(reports));
+  feedback::Corpus corpus;
+  for (const feedback::CorpusLedger::Committed& c : ledger_->committed())
+    corpus.add(c.entry.program, c.entry.signal, c.entry.best_score,
+               c.entry.lineage);
+  report.corpus_size = corpus.size();
+  const triage::TriageResult clusters =
+      triage::cluster_report(report, config_.manifest.defaults.runtime);
+  core::CampaignManifest manifest = config_.manifest.defaults;
+  manifest.fleet_workers = config_.manifest.workers;
+  run::write_workdir(config_.workdir, corpus, report, clusters, profile,
+                     efficacy, timeseries, manifest);
   result.merge_wall_ns = telemetry::steady_now_ns() - merge_start;
-  result.ok = merged && result.failed == 0;
+  result.ok = result.failed == 0;
 
   telemetry::Registry& metrics = telemetry::global();
   const feedback::CorpusLedger::Stats& stats = ledger_->stats();

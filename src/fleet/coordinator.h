@@ -22,12 +22,18 @@
 //               to max_restarts times. Its ledger cursor rewinds to zero,
 //               so the restart resumes from the last published corpus epoch
 //               — the committed stream is the checkpoint.
-//   * reap      waitpid() on loop ticks; exit status decides
+//   * reap      waitpid() on loop ticks; after reading whatever the
+//               process left on its socket, exit status and kDone decide
 //               completed/failed.
 //
-// After every worker reaches a terminal state the coordinator merges the
-// per-worker workdirs into one (fleet/merge.h) that `torpedo report`,
-// `stats`, and `diff` consume unchanged.
+// Each worker sends its finalized report, syscall-profile and
+// mutation-efficacy rows and time-series samples in its kDone frame
+// (core/report_wire.h). After every worker reaches a terminal state the
+// coordinator folds the reports with core::merge_reports, clusters them,
+// and writes the workdir through run::write_workdir — the sharded run's
+// fold and writer, so a uniform fleet of N workers writes the same
+// artifacts as `torpedo run --shards N`. workers/<k>/ keeps only the
+// worker's heartbeat (and its log in exec mode).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +45,7 @@
 #include <sys/types.h>
 #include <vector>
 
+#include "core/report_wire.h"
 #include "feedback/corpus_hub.h"
 #include "fleet/frame.h"
 #include "fleet/manifest.h"
@@ -58,7 +65,7 @@ std::string_view worker_state_name(WorkerState state);
 
 struct FleetConfig {
   Manifest manifest;
-  // Merged workdir root; worker k writes workdir/workers/<k>/.
+  // Merged workdir root; worker k's heartbeat lives in workdir/workers/<k>/.
   std::filesystem::path workdir;
   // Path of the torpedo binary to fork/exec per worker. Empty = fork mode:
   // the child calls worker_main() directly. Fork mode requires this process
@@ -88,7 +95,7 @@ struct WorkerStatus {
   int monitor_port = -1;     // from heartbeat.json; -1 until discovered
   std::uint64_t executions = 0;
   std::int64_t heartbeat_wall_ns = 0;  // last heartbeat stamp (wall clock)
-  // Final totals from the kDone frame.
+  // Final totals from the kDone frame's report.
   int batches = 0;
   int rounds = 0;
   std::uint64_t corpus = 0;
@@ -108,17 +115,17 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   struct Result {
-    bool ok = false;      // every worker completed and the merge succeeded
+    bool ok = false;      // every worker completed
     int completed = 0;
     int failed = 0;       // workers that exhausted max_restarts
     int restarts = 0;
     std::uint64_t executions = 0;  // summed worker totals
-    Nanos merge_wall_ns = 0;       // file-level merge duration
+    Nanos merge_wall_ns = 0;       // fold + cluster + workdir write
     Nanos max_recovery_wall_ns = 0;
   };
 
-  // Spawns every worker, runs the event loop to completion, merges the
-  // workdirs. Blocking; call once.
+  // Spawns every worker, runs the event loop to completion, writes the
+  // merged workdir. Blocking; call once.
   Result run();
 
   // Snapshot for fleet_status.json, the /fleet endpoint, and tests.
@@ -135,7 +142,7 @@ class Coordinator {
   WorkerOptions worker_options(int worker) const;
   bool spawn_worker(int worker);
   void accept_connections();
-  void read_connection(std::size_t index);
+  void read_connection(Connection& conn);
   void handle_frame(Connection& conn, const Frame& frame);
   void worker_left(int worker);
   void flush_deltas();
@@ -151,6 +158,8 @@ class Coordinator {
   int listen_fd_ = -1;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::vector<bool> awaiting_delta_;  // published, owed a kDelta
+  // Each worker's kDone body, kept for the merge; only the loop touches it.
+  std::vector<core::DoneBody> done_;
   // Guards workers_: the coordinator monitor thread reads snapshots while
   // the loop mutates.
   mutable std::mutex mu_;

@@ -9,7 +9,9 @@
 //   kHello    worker -> coordinator   protocol version + worker id
 //   kPublish  worker -> coordinator   encode_publish() body (wire.h)
 //   kDelta    coordinator -> worker   encode_delta() body (wire.h)
-//   kDone     worker -> coordinator   final campaign totals
+//   kDone     worker -> coordinator   encode_done() body (core/report_wire.h):
+//                                     finalized report, profile/efficacy
+//                                     rows, time-series samples
 //
 // The worker side is blocking (send_frame/recv_frame over its one socket);
 // the coordinator side is non-blocking — it feeds whatever poll() delivered
@@ -38,7 +40,10 @@ struct Frame {
 };
 
 // Corpus publications are bounded by kMaxListLength entries (wire.cpp);
-// 64 MiB leaves an order of magnitude of headroom over any real batch.
+// 64 MiB leaves an order of magnitude of headroom over any real batch. A
+// kDone body carries every provenance record of the worker, each smaller
+// on the wire than its bundle.json (at most ~370 KB in a 2-batch fleet
+// run), so the bound also holds well over a hundred findings per worker.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
 
 // [len][type][payload] as one contiguous byte string.

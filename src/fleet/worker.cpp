@@ -9,12 +9,11 @@
 #include <time.h>
 #include <unistd.h>
 
-#include "core/provenance.h"
+#include "core/report_wire.h"
 #include "core/workdir.h"
 #include "feedback/wire.h"
 #include "fleet/frame.h"
 #include "run/run.h"
-#include "triage/cluster.h"
 #include "util/log.h"
 
 namespace torpedo::fleet {
@@ -171,28 +170,20 @@ int worker_main(const WorkerOptions& options) {
     campaign.fuzzer().adopt_denylist(delta->denylist);
   }
 
-  core::CampaignReport report = campaign.finalize();
+  // The whole result travels in the kDone frame; the coordinator folds it
+  // with its peers' exactly as a sharded run folds its shards.
+  core::DoneBody done;
+  done.report = campaign.finalize();
   instruments.detach(0, campaign);
-  // This process is one shard of the fleet: stamp its id onto everything
-  // the merge distinguishes workers by, exactly as ShardedCampaign::merge
-  // stamps shard indices.
-  for (core::Finding& f : report.findings) f.shard = options.worker_id;
-  for (core::CrashFinding& c : report.crashes) c.shard = options.worker_id;
-  for (core::Provenance& p : report.provenance) p.shard = options.worker_id;
-
-  const triage::TriageResult tri = triage::cluster_report(
-      report, runtime::runtime_name(options.config.runtime));
-  instruments.finish(tri);
-  instruments.write_workdir(campaign.corpus(), report, tri);
-
-  feedback::WireWriter done;
-  done.u32(static_cast<std::uint32_t>(report.batches));
-  done.u32(static_cast<std::uint32_t>(report.rounds));
-  done.u64(report.executions);
-  done.u64(static_cast<std::uint64_t>(report.corpus_size));
-  done.u64(static_cast<std::uint64_t>(report.findings.size()));
-  done.u64(static_cast<std::uint64_t>(report.crashes.size()));
-  send_frame(fd, FrameType::kDone, done.data());
+  done.syscalls = instruments.probes().profile.rows();
+  done.ops = instruments.probes().efficacy.rows();
+  done.timeseries = instruments.timeseries(0).samples();
+  if (!send_frame(fd, FrameType::kDone, core::encode_done(done))) {
+    std::fprintf(stderr, "fleet worker %d: coordinator gone (done)\n",
+                 options.worker_id);
+    ::close(fd);
+    return 1;
+  }
   ::close(fd);
   return 0;
 }

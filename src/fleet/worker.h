@@ -12,10 +12,12 @@
 // The batch loop mirrors ShardedCampaign::run_shard exactly: run a batch,
 // publish the fresh corpus tail + denylist, block until the coordinator's
 // delta arrives (the socket is this process's epoch barrier), fold the
-// delta in. The worker writes a complete per-worker workdir — the same
-// artifact set `torpedo run --workdir` produces, with every finding,
-// provenance record, corpus entry, and timeseries line stamped with the
-// worker id as its shard — which the coordinator later merges file-by-file.
+// delta in. After finalize the worker writes no artifacts: its report,
+// syscall-profile and mutation-efficacy rows and time-series samples go to
+// the coordinator in the kDone frame (core/report_wire.h), and the
+// coordinator writes the merged workdir as a sharded run would. The
+// worker's own directory holds only its heartbeat (and, in exec mode, its
+// log).
 #pragma once
 
 #include <filesystem>
@@ -32,7 +34,7 @@ struct WorkerOptions {
   // worker may race a busy coordinator loop).
   std::string socket_path;
   core::CampaignConfig config;
-  std::filesystem::path workdir;  // per-worker artifact directory
+  std::filesystem::path workdir;  // per-worker directory: heartbeat.json
   std::string seeds_dir;          // "" = default Moonshine-like corpus
   // Host CPU affinity list ("0", "2,3", "0-2"); "" = unpinned.
   std::string cpuset;
@@ -50,7 +52,8 @@ struct WorkerOptions {
 inline constexpr int kWorkerCrashExit = 77;
 
 // Runs the whole worker campaign; returns the process exit code (0 = done,
-// campaign finalized and artifacts written; nonzero = socket/config error).
+// campaign finalized and its kDone frame sent; nonzero = socket/config
+// error).
 int worker_main(const WorkerOptions& options);
 
 // Parses "0,2-3"-style lists and applies sched_setaffinity. Returns false

@@ -50,6 +50,29 @@ std::string part_file(const std::string& path, int part, int parts) {
   return out.string();
 }
 
+// --- workdir writer -----------------------------------------------------------
+
+std::size_t write_workdir(const fs::path& dir, const feedback::Corpus& corpus,
+                          const core::CampaignReport& report,
+                          const triage::TriageResult& clusters,
+                          const feedback::SyscallProfile& profile,
+                          const feedback::MutationEfficacy& efficacy,
+                          std::span<const telemetry::SampleSeries> timeseries,
+                          const core::CampaignManifest& manifest) {
+  core::save_corpus(dir / "corpus.txt", corpus);
+  core::save_report(dir / "report.txt", report);
+  triage::save_clusters(dir / "clusters.json", clusters);
+  const std::size_t bundles = core::write_violation_bundles(dir, report);
+  {
+    std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
+    if (out) out << profile.to_json(&kernel::sysno_name) << "\n";
+  }
+  core::save_timeseries(dir / "timeseries.jsonl", timeseries);
+  core::save_mutation_efficacy(dir / "mutation_efficacy.json", efficacy);
+  core::save_campaign_manifest(dir / "campaign.json", manifest);
+  return bundles;
+}
+
 // --- Instruments --------------------------------------------------------------
 
 Instruments::Part::Part(int shard)
@@ -173,20 +196,9 @@ void Instruments::finish(const triage::TriageResult& clusters) {
 std::size_t Instruments::write_workdir(
     const feedback::Corpus& corpus, const core::CampaignReport& report,
     const triage::TriageResult& clusters) const {
-  const fs::path& dir = options_.workdir;
-  core::save_corpus(dir / "corpus.txt", corpus);
-  core::save_report(dir / "report.txt", report);
-  triage::save_clusters(dir / "clusters.json", clusters);
-  const std::size_t bundles = core::write_violation_bundles(dir, report);
-  {
-    std::ofstream out(dir / "syscall_profile.json", std::ios::trunc);
-    if (out) out << probes_.profile.to_json(&kernel::sysno_name) << "\n";
-  }
-  std::vector<const telemetry::TimeSeriesRecorder*> timeseries;
-  for (const Part& part : parts_) timeseries.push_back(&part.timeseries);
-  core::save_timeseries(dir / "timeseries.jsonl", timeseries);
-  core::save_mutation_efficacy(dir / "mutation_efficacy.json",
-                               probes_.efficacy);
+  std::vector<telemetry::SampleSeries> timeseries;
+  for (const Part& part : parts_)
+    timeseries.push_back(part.timeseries.series());
   core::CampaignManifest manifest =
       core::CampaignManifest::from_config(options_.config);
   manifest.seeds_dir = options_.seeds_dir;
@@ -194,8 +206,9 @@ std::size_t Instruments::write_workdir(
     manifest.shards = options_.shards;
     manifest.corpus_sync = options_.corpus_sync;
   }
-  core::save_campaign_manifest(dir / "campaign.json", manifest);
-  return bundles;
+  return run::write_workdir(options_.workdir, corpus, report, clusters,
+                            probes_.profile, probes_.efficacy, timeseries,
+                            manifest);
 }
 
 std::uint64_t Instruments::trace_records() const {

@@ -11,9 +11,10 @@
 //     the live monitor, and wires a part into its Campaign with attach() —
 //     called on the calling thread for a one-part run and as
 //     ShardedCampaign's start hook for a multi-part one.
-//   * Instruments::write_workdir() is the only writer of the workdir
-//     artifact set that `torpedo report`, `stats`, `diff` and
-//     `selftest --replay` read.
+//   * write_workdir() is the only writer of the workdir artifact set that
+//     `torpedo report`, `stats`, `diff` and `selftest --replay` read. A
+//     run writes it through Instruments::write_workdir(); the fleet
+//     coordinator calls it with its workers' folded results.
 //   * run_campaign() ties them together.
 //
 // A one-part run stays on plain Campaign, chosen by the shard count: a
@@ -27,10 +28,12 @@
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/workdir.h"
 #include "feedback/corpus_hub.h"
 #include "feedback/mutation_efficacy.h"
 #include "feedback/syscall_profile.h"
@@ -79,6 +82,20 @@ struct RunOptions {
 // multi-part run writes "foo.shard-k.ext" next to it.
 std::string part_file(const std::string& path, int part, int parts);
 
+// The only writer of the workdir artifact set: corpus.txt, report.txt,
+// clusters.json, the violation bundles, syscall_profile.json,
+// timeseries.jsonl (shard-major in span order), mutation_efficacy.json and
+// campaign.json (the manifest `selftest --replay` re-runs from), under
+// `dir`. Returns the number of violation bundles.
+std::size_t write_workdir(const std::filesystem::path& dir,
+                          const feedback::Corpus& corpus,
+                          const core::CampaignReport& report,
+                          const triage::TriageResult& clusters,
+                          const feedback::SyscallProfile& profile,
+                          const feedback::MutationEfficacy& efficacy,
+                          std::span<const telemetry::SampleSeries> timeseries,
+                          const core::CampaignManifest& manifest);
+
 // The instruments of one run: the probes, one slot per part, and the live
 // monitor that serves them.
 class Instruments {
@@ -114,14 +131,16 @@ class Instruments {
   // the monitor.
   void finish(const triage::TriageResult& clusters);
 
-  // The only writer of the workdir artifact set: corpus.txt, report.txt,
-  // clusters.json, the violation bundles, syscall_profile.json,
-  // timeseries.jsonl, mutation_efficacy.json and campaign.json (the
-  // manifest `selftest --replay` re-runs from), under options.workdir.
-  // Returns the number of violation bundles.
+  // write_workdir() into options.workdir with this run's probes, every
+  // part's time series and the run's manifest.
   std::size_t write_workdir(const feedback::Corpus& corpus,
                             const core::CampaignReport& report,
                             const triage::TriageResult& clusters) const;
+
+  const ProbeScope& probes() const { return probes_; }
+  const telemetry::TimeSeriesRecorder& timeseries(int part) const {
+    return parts_[static_cast<std::size_t>(part)].timeseries;
+  }
 
   std::uint64_t trace_records() const;
   Nanos sim_end_ns() const { return sim_end_ns_.load(); }

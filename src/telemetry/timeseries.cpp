@@ -46,8 +46,8 @@ bool TimeSeriesRecorder::record(const RoundSample& sample) {
   return entered;
 }
 
-void TimeSeriesRecorder::flush_jsonl(std::ostream& out) const {
-  for (const RoundSample& s : samples_) {
+void write_samples_jsonl(std::ostream& out, const SampleSeries& series) {
+  for (const RoundSample& s : series.samples) {
     JsonDict d;
     d.set("round", s.round)
         .set("sim_ns", static_cast<std::int64_t>(s.sim_ns))
@@ -55,9 +55,13 @@ void TimeSeriesRecorder::flush_jsonl(std::ostream& out) const {
         .set("corpus_size", s.corpus_size)
         .set("distinct_signals", s.distinct_signals)
         .set("violations", s.violations);
-    if (config_.shard >= 0) d.set("shard", config_.shard);
+    if (series.shard >= 0) d.set("shard", series.shard);
     out << d.to_string() << "\n";
   }
+}
+
+void TimeSeriesRecorder::flush_jsonl(std::ostream& out) const {
+  write_samples_jsonl(out, series());
 }
 
 }  // namespace torpedo::telemetry

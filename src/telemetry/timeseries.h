@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "util/time.h"
@@ -44,6 +45,19 @@ struct RoundSample {
   std::uint64_t violations = 0;
 };
 
+// One part's retained samples and the shard its lines are stamped with
+// (-1: unstamped). A view: the samples live in a recorder, or in the
+// report a fleet worker sent the coordinator.
+struct SampleSeries {
+  int shard = -1;
+  std::span<const RoundSample> samples;
+};
+
+// Writes the samples as JSONL, one object per line:
+//   {"round":..,"sim_ns":..,"executions":..,"corpus_size":..,
+//    "distinct_signals":..,"violations":..[,"shard":..]}
+void write_samples_jsonl(std::ostream& out, const SampleSeries& series);
+
 class TimeSeriesRecorder {
  public:
   struct Config {
@@ -59,12 +73,11 @@ class TimeSeriesRecorder {
   // the series enter a plateau (callers bump campaign.plateaus on true).
   bool record(const RoundSample& sample);
 
-  // Writes retained samples as JSONL, one object per line:
-  //   {"round":..,"sim_ns":..,"executions":..,"corpus_size":..,
-  //    "distinct_signals":..,"violations":..[,"shard":..]}
+  // Writes the retained samples with write_samples_jsonl.
   void flush_jsonl(std::ostream& out) const;
 
   const std::vector<RoundSample>& samples() const { return samples_; }
+  SampleSeries series() const { return {config_.shard, samples_}; }
   std::size_t size() const { return samples_.size(); }
   // Current retention stride: 1 until the first compaction, then doubles.
   std::uint64_t stride() const { return stride_; }

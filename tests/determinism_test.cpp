@@ -122,9 +122,8 @@ TEST(Determinism, ShardedCampaignIsByteIdentical) {
   expect_identical_trees(a, b);
 }
 
-// One fork-mode fleet run: a coordinator plus two forked worker processes
-// exchanging corpus entries over the Unix socket, merged into `dir`.
-void run_fleet_workdir(const fs::path& dir) {
+// The golden fleet: two workers of a campaign the manifest can express.
+fleet::Manifest golden_fleet_manifest() {
   fleet::Manifest manifest;
   manifest.workers = 2;
   manifest.defaults.batches = 2;
@@ -132,8 +131,14 @@ void run_fleet_workdir(const fs::path& dir) {
   manifest.defaults.round_duration = 50 * kMillisecond;
   manifest.defaults.num_seeds = 6;
   manifest.defaults.seed = 0xD0D0;
+  return manifest;
+}
+
+// One fork-mode fleet run: a coordinator plus two forked worker processes
+// exchanging corpus entries over the Unix socket, merged into `dir`.
+void run_fleet_workdir(const fs::path& dir) {
   fleet::FleetConfig config;
-  config.manifest = std::move(manifest);
+  config.manifest = golden_fleet_manifest();
   config.workdir = dir;  // empty worker_binary => fork mode
   fleet::Coordinator coordinator(std::move(config));
   ASSERT_TRUE(coordinator.run().ok);
@@ -147,6 +152,34 @@ TEST(Determinism, FleetCampaignIsByteIdentical) {
 
   EXPECT_FALSE(slurp(a / "report.txt").empty());
   expect_identical_trees(a, b);
+}
+
+// A fleet of N workers is `run --shards N` in N processes: worker k runs
+// shard k's campaign and the coordinator folds and writes the reports the
+// way the sharded run does, so the shared artifact set is byte-identical.
+TEST(Determinism, FleetMatchesShardedRun) {
+  const fs::path fleet_dir = fresh_dir("torpedo-golden-fleet-vs-shards-f");
+  const fs::path shards_dir = fresh_dir("torpedo-golden-fleet-vs-shards-s");
+  run_fleet_workdir(fleet_dir);
+  const fleet::Manifest manifest = golden_fleet_manifest();
+  run::RunOptions options;
+  options.config = manifest.defaults.to_config();
+  options.shards = manifest.workers;
+  options.workdir = shards_dir;
+  ASSERT_EQ(run::run_campaign(options).error, "");
+
+  EXPECT_FALSE(slurp(shards_dir / "report.txt").empty());
+  for (const char* name :
+       {"report.txt", "corpus.txt", "clusters.json", "syscall_profile.json",
+        "mutation_efficacy.json", "timeseries.jsonl"})
+    EXPECT_EQ(slurp(fleet_dir / name), slurp(shards_dir / name)) << name;
+  const std::vector<std::string> bundles = file_list(shards_dir / "violations");
+  EXPECT_FALSE(bundles.empty());
+  ASSERT_EQ(file_list(fleet_dir / "violations"), bundles);
+  for (const std::string& rel : bundles)
+    EXPECT_EQ(slurp(fleet_dir / "violations" / rel),
+              slurp(shards_dir / "violations" / rel))
+        << rel;
 }
 
 }  // namespace

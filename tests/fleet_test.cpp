@@ -1,7 +1,8 @@
 // Fleet tests: the wire codec (round-trips and hostile-input paths), the
-// frame transport, the CorpusLedger rejoin contract, the fleet manifest,
-// metrics aggregation, and end-to-end fork-mode fleets — including the
-// deterministic crash/restart path via the crash_after_batch hook.
+// kDone report codec, the frame transport, the CorpusLedger rejoin
+// contract, the fleet manifest, metrics aggregation, and end-to-end
+// fork-mode fleets — including the deterministic crash/restart path via
+// the crash_after_batch hook.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
+#include "core/report_wire.h"
 #include "core/seeds.h"
 #include "feedback/corpus_hub.h"
 #include "feedback/wire.h"
@@ -163,6 +166,183 @@ TEST(WireCodec, ReaderShortReadFlipsOkAndStaysDown) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.u64(), 0u);  // stays down
   EXPECT_FALSE(r.at_end());
+}
+
+// --- kDone report codec ----------------------------------------------------------
+
+// One finalized campaign with findings: every Provenance field the codec
+// carries is populated (observation, trace window, minimize history,
+// lineage). Built once; each test copies it.
+const core::CampaignReport& finalized_report() {
+  static const core::CampaignReport report = [] {
+    core::CampaignConfig config;
+    config.round_duration = kSecond;
+    config.fuzzer.cycle_out_rounds = 3;
+    config.batches = 1;
+    core::Campaign campaign(config);
+    campaign.load_seeds({*core::named_seed("sync"),
+                         *core::named_seed("kcmp-pair"),
+                         *core::named_seed("appendix-a1-prog2")});
+    campaign.run_one_batch();
+    return campaign.finalize();
+  }();
+  return report;
+}
+
+core::DoneBody done_body(core::CampaignReport report) {
+  core::DoneBody body;
+  body.report = std::move(report);
+  body.syscalls = {{.nr = 0, .executions = 5, .signal_new = 1},
+                   {.nr = 162, .executions = 9, .implications = 2}};
+  body.ops = {{.op = feedback::OriginOp::kSplice, .attempts = 3, .accepted = 1,
+               .executions = 40, .novel_signal = 2, .violations = 1,
+               .corpus_inserts = 1}};
+  body.timeseries = {{.round = 0, .sim_ns = 5, .executions = 10},
+                     {.round = 1, .sim_ns = 9, .executions = 20,
+                      .corpus_size = 3, .distinct_signals = 7,
+                      .violations = 1}};
+  return body;
+}
+
+// A small body for the byte-by-byte tests: one finding with its full
+// provenance record (lists cut to two elements) and one crash.
+core::DoneBody small_done_body() {
+  core::CampaignReport report;
+  const core::CampaignReport& full = finalized_report();
+  report.findings.push_back(full.findings.at(0));
+  core::Provenance p = full.provenance.at(0);
+  auto cut = [](auto& list) {
+    if (list.size() > 2) list.resize(2);
+  };
+  cut(p.trace_events);
+  cut(p.minimize_history);
+  cut(p.observation.cores);
+  cut(p.observation.processes);
+  cut(p.observation.containers);
+  report.provenance.push_back(std::move(p));
+  core::CrashFinding crash;
+  crash.program = *core::named_seed("sync");
+  crash.serialized = crash.program.serialize();
+  crash.message = "sentry panic";
+  crash.reproduced = true;
+  report.crashes.push_back(std::move(crash));
+  report.denylist = {"pause"};
+  report.batches = 1;
+  return done_body(std::move(report));
+}
+
+TEST(ReportCodec, FinalizedReportRoundTripsAndReencodesIdentically) {
+  const core::CampaignReport& report = finalized_report();
+  ASSERT_FALSE(report.findings.empty());
+  ASSERT_EQ(report.provenance.size(), report.findings.size());
+  bool traced = false, minimized = false, lineage = false;
+  for (const core::Provenance& p : report.provenance) {
+    traced = traced || !p.trace_events.empty();
+    minimized = minimized || !p.minimize_history.empty();
+    lineage = lineage || !p.lineage.empty();
+  }
+  ASSERT_TRUE(traced && minimized && lineage);
+
+  const core::DoneBody body = done_body(report);
+  const std::string bytes = core::encode_done(body);
+  auto decoded = core::decode_done(bytes);
+  ASSERT_TRUE(decoded.has_value());
+
+  const core::CampaignReport& got = decoded->report;
+  ASSERT_EQ(got.findings.size(), report.findings.size());
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    EXPECT_EQ(got.findings[i].serialized, report.findings[i].serialized);
+    EXPECT_EQ(got.findings[i].program.hash(),
+              report.findings[i].program.hash());
+    EXPECT_EQ(got.findings[i].cause, report.findings[i].cause);
+    EXPECT_EQ(got.findings[i].source_round, report.findings[i].source_round);
+  }
+  for (std::size_t i = 0; i < report.provenance.size(); ++i) {
+    const core::Provenance& a = report.provenance[i];
+    const core::Provenance& b = got.provenance[i];
+    EXPECT_EQ(b.oracle_score, a.oracle_score);  // bit-exact double
+    EXPECT_EQ(b.trace_events.size(), a.trace_events.size());
+    EXPECT_EQ(b.minimize_history.size(), a.minimize_history.size());
+    EXPECT_EQ(b.lineage.size(), a.lineage.size());
+    EXPECT_EQ(b.observation.cores.size(), a.observation.cores.size());
+    // The bundle renderer sees the same record.
+    EXPECT_EQ(core::provenance_to_json(b, 0).to_string(),
+              core::provenance_to_json(a, 0).to_string());
+  }
+  EXPECT_EQ(got.executions, report.executions);
+  EXPECT_EQ(got.denylist, report.denylist);
+  EXPECT_EQ(got.confirmations_run, report.confirmations_run);
+  ASSERT_EQ(decoded->syscalls.size(), 2u);
+  EXPECT_EQ(decoded->syscalls[1].nr, 162);
+  EXPECT_EQ(decoded->syscalls[1].implications, 2u);
+  ASSERT_EQ(decoded->ops.size(), 1u);
+  EXPECT_EQ(decoded->ops[0].op, feedback::OriginOp::kSplice);
+  EXPECT_EQ(decoded->ops[0].executions, 40u);
+  ASSERT_EQ(decoded->timeseries.size(), 2u);
+  EXPECT_EQ(decoded->timeseries[1].distinct_signals, 7u);
+
+  // Determinism contract: decode -> re-encode is byte-identical.
+  EXPECT_EQ(core::encode_done(*decoded), bytes);
+}
+
+TEST(ReportCodec, TruncatedDoneBodyIsRejectedAtEveryPrefix) {
+  const std::string payload = core::encode_done(small_done_body());
+  ASSERT_TRUE(core::decode_done(payload).has_value());
+  for (std::size_t n = 0; n < payload.size(); ++n)
+    EXPECT_FALSE(core::decode_done(payload.substr(0, n)).has_value())
+        << "prefix of " << n << " bytes decoded";
+}
+
+TEST(ReportCodec, TrailingBytesAreRejected) {
+  const std::string payload = core::encode_done(small_done_body());
+  EXPECT_TRUE(core::decode_done(payload).has_value());
+  EXPECT_FALSE(core::decode_done(payload + "x").has_value());
+  EXPECT_TRUE(core::decode_done(core::encode_done({})).has_value());
+}
+
+TEST(ReportCodec, HostileListLengthDoesNotAllocate) {
+  // A 4 GiB finding count, and an empty report followed by a 4 GiB
+  // syscall-row count: both fail the bytes-left check before any reserve.
+  feedback::WireWriter findings;
+  findings.u32(0xFFFFFFFFu);
+  EXPECT_FALSE(core::decode_done(findings.data()).has_value());
+
+  // An empty body ends in three u32 list lengths: syscalls, ops, samples.
+  std::string rows = core::encode_done({});
+  rows.replace(rows.size() - 12, 4, "\xff\xff\xff\xff");
+  EXPECT_FALSE(core::decode_done(rows).has_value());
+}
+
+TEST(ReportCodec, OutOfRangeEnumAndBoolBytesAreRejected) {
+  core::DoneBody body;
+  body.ops = {{.op = feedback::OriginOp::kSeed}};
+  std::string payload = core::encode_done(body);
+  // Empty report, empty syscall rows, then the op count and the op byte.
+  const std::size_t op_offset = core::encode_done({}).size() - 12 + 4 + 4;
+  ASSERT_LT(op_offset, payload.size());
+  payload[op_offset] = char(feedback::kNumOriginOps);
+  EXPECT_FALSE(core::decode_done(payload).has_value());
+
+  body = {};
+  body.syscalls = {{.nr = feedback::SyscallProfile::kMaxSysno}};
+  EXPECT_FALSE(core::decode_done(core::encode_done(body)).has_value());
+
+  // A crash's `reproduced` flag sits after the empty finding list, the
+  // crash count and the crash's two strings; only 0 and 1 are bools.
+  body = {};
+  core::CrashFinding crash;
+  crash.program = *core::named_seed("sync");
+  crash.serialized = crash.program.serialize();
+  crash.message = "m";
+  body.report.crashes.push_back(crash);
+  payload = core::encode_done(body);
+  const std::size_t bool_offset =
+      4 + 4 + 4 + crash.serialized.size() + 4 + crash.message.size();
+  ASSERT_LT(bool_offset, payload.size());
+  ASSERT_EQ(payload[bool_offset], 0);
+  EXPECT_TRUE(core::decode_done(payload).has_value());
+  payload[bool_offset] = 2;
+  EXPECT_FALSE(core::decode_done(payload).has_value());
 }
 
 // --- frame transport -------------------------------------------------------------
@@ -468,14 +648,12 @@ TEST(FleetCampaign, TwoWorkerForkModeCompletesAndMerges) {
     EXPECT_TRUE(fs::exists(workdir / name)) << name;
   EXPECT_NE(slurp(workdir / "campaign.json").find("\"fleet_workers\":2"),
             std::string::npos);
-  EXPECT_TRUE(fs::exists(workdir / "workers" / "0" / "report.txt"));
-  EXPECT_TRUE(fs::exists(workdir / "workers" / "1" / "report.txt"));
 
   const std::string status = coordinator.fleet_status_json();
   EXPECT_NE(status.find("\"workers\":2"), std::string::npos);
   EXPECT_NE(status.find("\"state\":\"completed\""), std::string::npos);
-  // Merged timeseries lines are tagged with their producing worker.
-  EXPECT_NE(slurp(workdir / "timeseries.jsonl").find("\"worker\":1"),
+  // Merged timeseries lines carry their producing worker as their shard.
+  EXPECT_NE(slurp(workdir / "timeseries.jsonl").find("\"shard\":1"),
             std::string::npos);
 }
 

@@ -1267,7 +1267,7 @@ int cmd_selftest(const Args& args) {
 // `torpedo fleet`: the coordinator process. Builds the experiment-matrix
 // manifest (from --manifest or the campaign flags), spawns N `torpedo run
 // --fleet-socket ...` workers, drives the socket epoch barrier, restarts
-// crashed workers, and merges the per-worker workdirs.
+// crashed workers, and writes the merged workdir from their reports.
 int cmd_fleet(const Args& args) {
   if (args.has("v")) set_log_level(LogLevel::kInfo);
   const auto workdir = args.get("workdir");
